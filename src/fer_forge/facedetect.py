@@ -367,7 +367,8 @@ def _read_pnm_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def read_pnm(path: str) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) file; 8-bit maxval only.
 
-    Returns uint8 [H,W] for PGM, [H,W,3] for PPM.
+    Returns uint8 [H,W] for PGM, [H,W,3] for PPM, with samples rescaled
+    to 0..255 when maxval is below 255.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -397,6 +398,14 @@ def read_pnm(path: str) -> np.ndarray:
             f"need {expected} bytes"
         )
     arr = np.frombuffer(raster, dtype=np.uint8)
+    if maxval < 255:
+        over = np.flatnonzero(arr > maxval)
+        if over.size:
+            raise PnmFormatError(
+                f"sample {arr[over[0]]} exceeds maxval {maxval} at byte {pos + int(over[0])}"
+            )
+        # round to nearest: v * 255 / maxval
+        arr = ((arr.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return arr.reshape((height, width) if channels == 1 else (height, width, 3))
 
 

@@ -16,7 +16,7 @@ from .tensor import (
     ShapeError,
     conv2d_backward,
     conv2d_forward,
-    conv_patches,
+    maxpool,
     maxpool_backward,
     maxpool_forward,
 )
@@ -191,16 +191,11 @@ class Conv2D(Layer):
         return (self.filters, oh, ow)
 
     def forward(self, x, train, rng):
-        cols = conv_patches(x, self.geom)
-        # the patch matrix is the expensive part; keep it for backward
-        self._cache = (x, cols if train else None)
-        return conv2d_forward(x, self.params[0], self.params[1], self.geom, _cols=cols)
+        self._cache = x if train else None
+        return conv2d_forward(x, self.params[0], self.params[1], self.geom)
 
     def backward(self, grad):
-        x, cols = self._cache
-        grad_x, grad_k, grad_b = conv2d_backward(
-            x, self.params[0], self.geom, grad, _cols=cols
-        )
+        grad_x, grad_k, grad_b = conv2d_backward(self._cache, self.params[0], self.geom, grad)
         self.grads[0][...] = grad_k
         self.grads[1][...] = grad_b
         return grad_x
@@ -226,8 +221,10 @@ class MaxPool2D(Layer):
         return (c, h // 2, w // 2)
 
     def forward(self, x, train, rng):
-        out, index_map = maxpool_forward(x)
-        self._cache = index_map
+        if not train:
+            self._cache = None
+            return maxpool(x)
+        out, self._cache = maxpool_forward(x)
         return out
 
     def backward(self, grad):

@@ -15,12 +15,12 @@ import struct
 import numpy as np
 
 from . import layers as L
+from .data import NUM_CLASSES
 from .layers import LayerSpec, ShapeError, cross_entropy_loss, softmax_xent_grad
 from .seeding import derive_seed
 
 MAGIC = b"FEMO"
 FORMAT_VERSION = 1
-NUM_CLASSES = 7
 INPUT_SHAPE = (1, 48, 48)
 _MAX_DIM = 1 << 31
 _MAX_ELEMENTS = 1 << 31
@@ -64,8 +64,11 @@ class Network:
         rng = np.random.default_rng(derive_seed(seed, "init"))
         shape = self.input_shape
         trace = [shape]
-        for layer in self.layers:
-            shape = layer.build(shape, rng)
+        for i, layer in enumerate(self.layers):
+            try:
+                shape = layer.build(shape, rng)
+            except ShapeError as exc:
+                raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
             trace.append(shape)
         if not self.layers or self.layers[-1].kind != "softmax":
             raise ShapeError("network must end in a softmax layer")
@@ -247,6 +250,24 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
+def _network_from_arch(arch) -> Network:
+    """Rebuild the network an arch descriptor describes; any defect is a ModelFileError."""
+    if not isinstance(arch, dict) or not isinstance(arch.get("layers"), list):
+        raise ModelFileError("arch descriptor must be a JSON object with a 'layers' list")
+    specs = []
+    for i, desc in enumerate(arch["layers"]):
+        try:
+            spec = LayerSpec(desc["kind"], dict(desc.get("hyper", {})))
+            spec.materialize()  # only to name the failing layer; Network builds its own
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ModelFileError(f"arch layer {i}: bad descriptor {desc!r} ({exc!r})") from exc
+        specs.append(spec)
+    try:
+        return Network(specs, tuple(arch["input_shape"]), arch["num_classes"]).build(seed=0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"arch descriptor does not build a network: {exc!r}") from exc
+
+
 def load_model(path: str) -> Network:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -261,8 +282,7 @@ def load_model(path: str) -> Network:
         except json.JSONDecodeError as exc:
             raise ModelFileError(f"unreadable arch descriptor: {exc}") from exc
 
-        specs = [LayerSpec(d["kind"], d.get("hyper", {})) for d in arch["layers"]]
-        net = Network(specs, tuple(arch["input_shape"]), arch["num_classes"]).build(seed=0)
+        net = _network_from_arch(arch)
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         params = net.parameters()

@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, batches, class_histogram
+from .data import NUM_CLASSES, LabeledDataset, batches, class_histogram
 from .models import Network
 from .optim import Optimizer, OptimizerConfig
 from .seeding import derive_seed
-
-NUM_CLASSES = 7
 
 
 class TrainingDivergedError(RuntimeError):
@@ -141,8 +139,8 @@ def argmax_labels(probs: np.ndarray) -> np.ndarray:
 def evaluate(net: Network, dataset: LabeledDataset, batch_size: int = 64):
     """Dropout-free predictions over a dataset: (accuracy, probs, preds).
 
-    Batch size bounds the transient im2col buffers of the conv layers, not
-    the result quality.
+    Batch size bounds the transient activations and per-tap GEMM products
+    of the conv layers, not the result quality.
     """
     all_probs = np.zeros((len(dataset), NUM_CLASSES), dtype=np.float32)
     for start in range(0, len(dataset), batch_size):

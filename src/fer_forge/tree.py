@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import NUM_CLASSES
 from .seeding import derive_seed
-
-NUM_CLASSES = 7
 
 
 @dataclass

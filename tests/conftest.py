@@ -1,9 +1,13 @@
-"""Shared fixtures: synthetic CSV builders, datasets and cascades."""
+"""Shared fixtures: synthetic CSV builders, datasets, cascades and malformed model files."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from fer_forge.data import LabeledDataset
+from fer_forge.models import FORMAT_VERSION, MAGIC
 
 
 def make_fer_csv(rows, header="emotion,pixels,Usage"):
@@ -109,3 +113,31 @@ def dark_top_cascade_doc(window=24):
 @pytest.fixture
 def tiny_dataset():
     return synthetic_dataset(12, seed=7)
+
+
+def write_arch_only(path, arch) -> str:
+    """A model file with the given arch descriptor and no tensors."""
+    blob = json.dumps(arch).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)) + blob)
+        fh.write(struct.pack("<I", 0))
+    return str(path)
+
+
+MALFORMED_ARCHS = {
+    "layer-without-kind": (
+        {"input_shape": [1, 48, 48], "num_classes": 7, "layers": [{"hyper": {}}]},
+        "arch layer 0",
+    ),
+    "non-object": ([1, 2, 3], "JSON object"),
+    "unknown-hyper-key": (
+        {"input_shape": [4], "num_classes": 7,
+         "layers": [{"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax", "hyper": {"bogus": 1}}]},
+        "arch layer 1",
+    ),
+    "invalid-stack": (
+        {"input_shape": [1, 8, 8], "num_classes": 7,
+         "layers": [{"kind": "flatten"}, {"kind": "conv2d", "hyper": {"filters": 2}}, {"kind": "softmax"}]},
+        "layer 1",
+    ),
+}

@@ -1,0 +1,43 @@
+"""Write the golden model fixture used by TestGoldenModel in tests/test_models.py.
+
+The fixture pins inference across kernel rewrites: a tiny network whose
+second conv has 16 input channels (so it reaches the per-tap conv path)
+is built from a fixed seed and saved as ``golden_tiny.femo``; its class
+probabilities for four seeded inputs go to ``golden_tiny.npz``. The
+committed files were written by the im2col convolution that preceded the
+per-tap kernels. Run from the repository root:
+
+    PYTHONPATH=src python tests/data/make_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from fer_forge.layers import LayerSpec
+from fer_forge.models import Network, save_model
+
+HERE = Path(__file__).resolve().parent
+INPUT_SHAPE = (1, 12, 12)
+SPECS = [
+    LayerSpec("conv2d", {"filters": 16, "kernel_size": 3}),
+    LayerSpec("relu"),
+    LayerSpec("conv2d", {"filters": 8, "kernel_size": 3, "padding": 1}),
+    LayerSpec("relu"),
+    LayerSpec("maxpool2d"),
+    LayerSpec("flatten"),
+    LayerSpec("dense", {"units": 7, "init": "glorot"}),
+    LayerSpec("softmax"),
+]
+
+
+def main():
+    net = Network(SPECS, INPUT_SHAPE, 7).build(seed=11)
+    save_model(net, str(HERE / "golden_tiny.femo"))
+    inputs = np.random.default_rng(2024).random((4, *INPUT_SHAPE), dtype=np.float32)
+    probs = net.forward(inputs, train=False)
+    np.savez(HERE / "golden_tiny.npz", inputs=inputs, probs=probs)
+
+
+if __name__ == "__main__":
+    main()

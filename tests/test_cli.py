@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    MALFORMED_ARCHS,
     accept_all_cascade_doc,
     make_fer_csv,
     random_rows,
     reject_all_cascade_doc,
+    write_arch_only,
 )
 from fer_forge.cli import _parse_cell, load_default_grid, main, parse_manifest
 from fer_forge.facedetect import write_pnm
@@ -168,6 +170,13 @@ class TestPredictCommand:
         bad = str(tmp_path / "bad.femo")
         open(bad, "wb").write(bytes(blob))
         assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ARCHS))
+    def test_malformed_arch_descriptor_exits_2(self, tmp_path, face_pgm, capsys, name):
+        arch, where = MALFORMED_ARCHS[name]
+        bad = write_arch_only(tmp_path / "bad.femo", arch)
+        assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
+        assert where in capsys.readouterr().err
 
 
 class TestDetectCommand:

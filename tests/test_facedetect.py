@@ -281,6 +281,27 @@ class TestPnmIO:
         with pytest.raises(PnmFormatError, match="maxval"):
             read_pnm(path)
 
+    def test_low_maxval_rescaled_to_8_bit(self, tmp_path):
+        path = str(tmp_path / "grey.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n4 1\n15\n" + bytes([0, 8, 7, 15]))
+        img = read_pnm(path)
+        assert img.dtype == np.uint8
+        assert np.array_equal(img, [[0, 136, 119, 255]])
+
+    def test_low_maxval_ppm_rescaled(self, tmp_path):
+        path = str(tmp_path / "bits.ppm")
+        with open(path, "wb") as fh:
+            fh.write(b"P6\n2 1\n1\n" + bytes([0, 1, 1, 1, 0, 0]))
+        assert np.array_equal(read_pnm(path), [[[0, 255, 255], [255, 0, 0]]])
+
+    def test_sample_above_maxval_names_byte(self, tmp_path):
+        path = str(tmp_path / "hot.pgm")
+        with open(path, "wb") as fh:
+            fh.write(b"P5\n3 1\n15\n" + bytes([3, 15, 16]))
+        with pytest.raises(PnmFormatError, match="exceeds maxval 15 at byte 12"):
+            read_pnm(path)
+
     def test_truncated_raster_names_byte(self, tmp_path):
         path = str(tmp_path / "short.pgm")
         with open(path, "wb") as fh:

@@ -214,6 +214,7 @@ class TestAllLayerKindsFiniteDifferences:
         (LayerSpec("dropout", {"rate": 0.3}), (2, 5, 5)),
         (LayerSpec("flatten"), (2, 3, 4)),
         (LayerSpec("softmax"), (7,)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "stride": 2, "padding": 1}), (9, 7, 7)),
     ]
 
     @pytest.mark.parametrize(
@@ -233,6 +234,31 @@ class TestAllLayerKindsFiniteDifferences:
 
         numeric = fd_gradient(l2_loss, w)
         assert relative_error(2.0 * penalty * w, numeric) < 1e-6
+
+
+class TestRetainedCaches:
+    """Training keeps what backward needs and no patch matrix; inference keeps nothing."""
+
+    def _built(self, spec, in_shape):
+        layer = spec.materialize()
+        layer.build(in_shape, np.random.default_rng(0))
+        return layer
+
+    def test_conv_keeps_only_its_input_when_training(self):
+        layer = self._built(LayerSpec("conv2d", {"filters": 8, "padding": 1}), (16, 6, 6))
+        x = np.random.default_rng(1).standard_normal((2, 16, 6, 6)).astype(np.float32)
+        layer.forward(x, True, np.random.default_rng(0))
+        assert layer._cache is x
+        layer.forward(x, False, np.random.default_rng(0))
+        assert layer._cache is None
+
+    def test_pool_keeps_one_byte_per_window_when_training(self):
+        layer = self._built(LayerSpec("maxpool2d"), (3, 6, 8))
+        x = np.random.default_rng(2).standard_normal((2, 3, 6, 8)).astype(np.float32)
+        out = layer.forward(x, True, np.random.default_rng(0))
+        assert layer._cache.winners.nbytes == out.size
+        assert np.array_equal(layer.forward(x, False, np.random.default_rng(0)), out)
+        assert layer._cache is None
 
 
 class TestLayerSpecs:

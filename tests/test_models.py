@@ -1,9 +1,11 @@
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import MALFORMED_ARCHS, write_arch_only
 from fer_forge.layers import LayerSpec, ShapeError
 from fer_forge.models import (
     BadMagicError,
@@ -18,6 +20,8 @@ from fer_forge.models import (
     load_model,
     save_model,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def conv_params(c_in, c_out, k=3):
@@ -233,3 +237,30 @@ class TestPersistence:
             fh.write(b"\x00")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ARCHS))
+    def test_malformed_arch_descriptor_names_layer(self, tmp_path, name):
+        arch, where = MALFORMED_ARCHS[name]
+        path = write_arch_only(tmp_path / "bad.femo", arch)
+        with pytest.raises(ModelFileError, match=where):
+            load_model(path)
+
+
+class TestGoldenModel:
+    """A model file and probabilities written by the im2col kernels that preceded
+    the per-tap conv; its second conv has 16 input channels (per-tap path) and
+    its first has one (patch-matrix path). See tests/data/make_golden.py."""
+
+    def test_probabilities_match_batched_and_single(self):
+        net = load_model(str(GOLDEN / "golden_tiny.femo"))
+        ref = np.load(GOLDEN / "golden_tiny.npz")
+        batched = net.forward(ref["inputs"], train=False)
+        assert np.abs(batched - ref["probs"]).max() < 1e-5
+        for x, probs in zip(ref["inputs"], ref["probs"]):
+            assert np.abs(net.predict(x) - probs).max() < 1e-5
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        src = GOLDEN / "golden_tiny.femo"
+        out = tmp_path / "again.femo"
+        save_model(load_model(str(src)), str(out))
+        assert out.read_bytes() == src.read_bytes()

@@ -206,6 +206,57 @@ class TestConv2DBackward:
             conv2d_backward(x, kernels, ConvGeometry(3, 3), np.zeros((1, 3, 3), np.float32))
 
 
+class TestConvTapPath:
+    """C_in * kh * kw above the patch-matrix switch: the per-tap GEMM kernels."""
+
+    @pytest.mark.parametrize("c_in,stride,padding", [(8, 1, 0), (16, 1, 1), (9, 2, 1), (12, 3, 2)])
+    def test_forward_matches_direct_on_batches(self, c_in, stride, padding):
+        rng = np.random.default_rng(20 + c_in)
+        x = rng.standard_normal((3, c_in, 9, 8)).astype(np.float32)
+        kernels = rng.standard_normal((5, c_in, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(5).astype(np.float32)
+        geom = ConvGeometry(3, 3, stride, padding)
+        fast = conv2d_forward(x, kernels, bias, geom)
+        direct = conv2d_forward_direct(x, kernels, bias, geom)
+        assert fast.shape == direct.shape and fast.dtype == np.float32
+        scale = max(1.0, float(np.abs(direct).max()))
+        assert np.abs(fast - direct).max() < 1e-6 * scale
+        singles = np.stack([conv2d_forward(x[i], kernels, bias, geom) for i in range(3)])
+        assert np.array_equal(singles, fast)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    def test_finite_differences_batch(self, stride, padding):
+        rng = np.random.default_rng(30 + stride + padding)
+        x = rng.standard_normal((2, 10, 7, 6))
+        kernels = rng.standard_normal((3, 10, 3, 3))
+        bias = rng.standard_normal(3)
+        geom = ConvGeometry(3, 3, stride, padding)
+        proj = rng.standard_normal(conv2d_forward(x, kernels, bias, geom).shape)
+
+        def loss():
+            return float(np.sum(conv2d_forward(x, kernels, bias, geom) * proj))
+
+        gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
+        assert gx.dtype == gk.dtype == np.float64
+        assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
+        assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
+        assert relative_error(gb, fd_gradient(loss, bias)) < 1e-5
+
+    def test_float32_backward_matches_float64(self):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((4, 32, 10, 10))
+        kernels = rng.standard_normal((16, 32, 3, 3))
+        grad_out = rng.standard_normal((4, 16, 10, 10))
+        geom = ConvGeometry(3, 3, padding=1)
+        exact = conv2d_backward(x, kernels, geom, grad_out)
+        single = conv2d_backward(
+            x.astype(np.float32), kernels.astype(np.float32), geom, grad_out.astype(np.float32)
+        )
+        for a, b in zip(exact, single):
+            assert b.dtype == np.float32
+            assert relative_error(b.astype(np.float64), a) < 1e-5
+
+
 class TestMaxPool:
     def test_single_window(self):
         out, _ = maxpool_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -251,6 +302,26 @@ class TestMaxPool:
         _, index_map = maxpool_forward(x)
         analytic = maxpool_backward(index_map, np.ones((1, 3, 3)))
         assert relative_error(analytic, fd_gradient(loss, x)) < 1e-6
+
+    def test_ties_route_to_first_in_raster_order(self):
+        # relu zeros tie whole windows; the earliest element takes the gradient
+        x = np.maximum(np.array([[[-1.0, -2.0, 0.0, 3.0], [0.0, -4.0, 3.0, 1.0]]]), 0)
+        out, index_map = maxpool_forward(x)
+        assert np.array_equal(out, [[[0.0, 3.0]]])
+        grad = maxpool_backward(index_map, np.array([[[2.0, 5.0]]]))
+        assert np.array_equal(grad, [[[2.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]])
+
+    def test_ties_in_batch_match_loop_argmax(self):
+        rng = np.random.default_rng(17)
+        x = np.maximum(rng.integers(-2, 3, (3, 2, 6, 7)).astype(np.float32), 0)
+        out, index_map = maxpool_forward(x)
+        grad = maxpool_backward(index_map, np.ones_like(out))
+        expected = np.zeros_like(x)
+        for b, c, oy, ox in np.ndindex(out.shape):
+            window = x[b, c, 2 * oy : 2 * oy + 2, 2 * ox : 2 * ox + 2].ravel()
+            k = int(np.argmax(window))  # first maximum in raster order
+            expected[b, c, 2 * oy + k // 2, 2 * ox + k % 2] = 1.0
+        assert np.array_equal(grad, expected)
 
     def test_ones_grad_sums_to_window_count(self):
         rng = np.random.default_rng(15)
