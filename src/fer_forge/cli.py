@@ -337,6 +337,11 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _print_scan_row(scale, size, windows, survivors):
+    """One ``detect --stats`` CSV row: a scale's windows and stage survivors."""
+    print(",".join(map(str, [f"{scale:.6g}", *size, windows, *survivors])), file=sys.stderr)
+
+
 def cmd_detect(args) -> int:
     cascade_path = _require_file(args.cascade, "cascade file")
     image_path = _require_file(args.image, "image")
@@ -344,9 +349,13 @@ def cmd_detect(args) -> int:
     cascade = fd.load_cascade(cascade_path)
     image = fd.read_pnm(image_path)
     gray = fd.to_grayscale(image)
-    detections = fd.detect(
-        cascade, gray, scale_factor=args.scale_factor, min_neighbors=args.min_neighbors
-    )
+    on_scale = None
+    if args.stats:
+        stages = [f"stage{i}_survivors" for i in range(len(cascade.stages))]
+        print(",".join(["scale", "win_w", "win_h", "windows", *stages]), file=sys.stderr)
+        on_scale = _print_scan_row
+    detections = fd.detect(cascade, gray, scale_factor=args.scale_factor,
+                           min_neighbors=args.min_neighbors, on_scale=on_scale)
     header = "x,y,w,h,neighbors"
     if net is not None:
         header += "," + ",".join(D.EMOTION_NAMES)
@@ -436,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--model-file", dest="model_file")
     p_detect.add_argument("--min-neighbors", dest="min_neighbors", type=int, default=3)
     p_detect.add_argument("--scale-factor", dest="scale_factor", type=float, default=1.1)
+    p_detect.add_argument("--stats", action="store_true",
+                          help="per-scale windows and stage survivors as CSV on stderr")
     p_detect.set_defaults(func=cmd_detect)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all layers")

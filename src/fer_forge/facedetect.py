@@ -8,6 +8,12 @@ standard deviation (floored at 1.0) and the window area relative to the
 base window, making detection invariant to positive affine intensity
 changes and consistent across scales.
 
+Each scale is scanned as arrays, the attentional cascade of Viola and
+Jones (2001): every window's rect sums come from fancy-indexing the
+integral images, and only the windows that pass a stage go on to the
+next. Hits group into the connected components of their overlap graph,
+found by banded sweeps on x rather than by testing every pair.
+
 Cascades load from a JSON file::
 
     {"window_width": W, "window_height": H,
@@ -121,18 +127,24 @@ def parse_cascade(doc: dict) -> CascadeModel:
             for stage in doc["stages"]
         )
         return CascadeModel(int(doc["window_width"]), int(doc["window_height"]), stages)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         if isinstance(exc, CascadeFormatError):
             raise
         raise CascadeFormatError(f"malformed cascade document: {exc}") from exc
 
 
 def load_cascade(path: str) -> CascadeModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CascadeFormatError(f"cascade file is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CascadeFormatError(f"cascade file is not UTF-8: byte 0x{data[exc.start]:02x} "
+                                 f"at offset {exc.start}") from None
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
+        raise CascadeFormatError(f"cascade file is not valid JSON: {exc}") from exc
     return parse_cascade(doc)
 
 
@@ -160,6 +172,54 @@ def _scaled(v: int, scale: float) -> int:
     return int(round(v * scale))
 
 
+# Windows scanned, and at least the hit pairs tested, per array pass:
+# bounds the working arrays to a few MB whatever the input size.
+_CHUNK_WINDOWS, _CHUNK_PAIRS = 1 << 16, 1 << 14
+
+
+def _cascade_survivors(cascade: CascadeModel, ii: np.ndarray, ii_sq: np.ndarray,
+                       origins: np.ndarray, scale: float,
+                       on_stage: Callable[[int], None] | None = None):
+    """The window origins (flat indices ``y * ii.shape[1] + x``) that pass every
+    stage, in order, and the count left after each stage. Only survivors go
+    on to the next stage; each window sees the float64 operations of a
+    one-window scan in the same order, so the result is the same however
+    many windows share a call.
+    """
+    stride, flat, flat_sq = ii.shape[1], ii.ravel(), ii_sq.ravel()
+
+    def sums(table, x0, y0, x1, y1):  # rect_sum's four lookups, in its order
+        return (table[origins + (y1 * stride + x1)] - table[origins + (y0 * stride + x1)]
+                - table[origins + (y1 * stride + x0)] + table[origins + (y0 * stride + x0)]
+                ).astype(np.float64, copy=False)
+
+    win_w, win_h = _scaled(cascade.window_w, scale), _scaled(cascade.window_h, scale)
+    area = win_w * win_h
+    mean = sums(flat, 0, 0, win_w, win_h) / area
+    variance = np.maximum(sums(flat_sq, 0, 0, win_w, win_h) / area - mean * mean, 0.0)
+    norm = np.maximum(np.sqrt(variance), 1.0) * area / (cascade.window_w * cascade.window_h)
+    survivors = []
+    for stage_index, stage in enumerate(cascade.stages):
+        if origins.size:
+            if on_stage is not None:
+                on_stage(stage_index)
+            stage_sum = np.zeros(origins.size)
+            for stump in stage.stumps:
+                raw = 0.0
+                for r in stump.rects:
+                    x0, x1 = _scaled(r.x, scale), _scaled(r.x + r.w, scale)
+                    y0, y1 = _scaled(r.y, scale), _scaled(r.y + r.h, scale)
+                    rect_area = (x1 - x0) * (y1 - y0)
+                    raw = raw + r.weight * (sums(flat, x0, y0, x1, y1) - mean * rect_area)
+                feature = raw / norm
+                stage_sum += np.where(feature < stump.threshold, stump.left_value,
+                                      stump.right_value)
+            keep = ~(stage_sum < stage.threshold)
+            origins, mean, norm = origins[keep], mean[keep], norm[keep]
+        survivors.append(origins.size)
+    return origins, survivors
+
+
 def eval_window(
     cascade: CascadeModel,
     ii: np.ndarray,
@@ -180,79 +240,81 @@ def eval_window(
     ``on_stage`` is invoked with each stage index actually evaluated, which
     lets tests prove the short-circuit.
     """
-    win_w = _scaled(cascade.window_w, scale)
-    win_h = _scaled(cascade.window_h, scale)
-    area = win_w * win_h
-    total = float(rect_sum(ii, x, y, win_w, win_h))
-    total_sq = float(rect_sum(ii_sq, x, y, win_w, win_h))
-    mean = total / area
-    variance = max(total_sq / area - mean * mean, 0.0)
-    norm = max(np.sqrt(variance), 1.0) * area / (cascade.window_w * cascade.window_h)
-
-    for stage_index, stage in enumerate(cascade.stages):
-        if on_stage is not None:
-            on_stage(stage_index)
-        stage_sum = 0.0
-        for stump in stage.stumps:
-            raw = 0.0
-            for r in stump.rects:
-                x0 = x + _scaled(r.x, scale)
-                x1 = x + _scaled(r.x + r.w, scale)
-                y0 = y + _scaled(r.y, scale)
-                y1 = y + _scaled(r.y + r.h, scale)
-                rect_area = (x1 - x0) * (y1 - y0)
-                raw += r.weight * (
-                    float(rect_sum(ii, x0, y0, x1 - x0, y1 - y0)) - mean * rect_area
-                )
-            feature = raw / norm
-            stage_sum += stump.left_value if feature < stump.threshold else stump.right_value
-        if stage_sum < stage.threshold:
-            return False
-    return True
+    win_w, win_h = _scaled(cascade.window_w, scale), _scaled(cascade.window_h, scale)
+    if not (0 <= x < ii.shape[1] - win_w and 0 <= y < ii.shape[0] - win_h):
+        raise IndexError(f"{win_w}x{win_h} window at ({x}, {y}) leaves the integral image")
+    origin = np.array([y * ii.shape[1] + x])
+    return _cascade_survivors(cascade, ii, ii_sq, origin, scale, on_stage)[0].size == 1
 
 
-def _overlap_ratio(a, b) -> float:
-    ix = max(0, min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]))
-    iy = max(0, min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    return inter / min(a[2] * a[3], b[2] * b[3])
+def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``label`` (each node's smallest set member) after linking a[k] with b[k]."""
+    while a.size:  # link roots to their smallest partner root, then flatten
+        ra, rb = label[a], label[b]
+        split = ra != rb
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    return label
+
+
+def _cluster_labels(boxes: np.ndarray) -> np.ndarray:
+    """Smallest index in each [x, y, w, h] row's connected component of the
+    graph joining two boxes when their intersection covers half the smaller.
+
+    Two sweeps on x over horizontal bands twice the tallest box high, the
+    second offset by half a band, so two boxes that overlap share a band in
+    at least one. In band-then-left-edge order a box is tested against the
+    later boxes of its band that start before it ends, less the run right
+    after it that already has its label. Labels are updated after each
+    chunk of at least ``_CHUNK_PAIRS`` tests, so a dense cluster costs about
+    one chunk instead of a test per pair.
+    """
+    n = len(boxes)
+    index, label = np.arange(n), np.arange(n)
+    x0, y0, w, h = boxes.T
+    x1, y1, area = x0 + w, y0 + h, w * h
+    span, left = int(h.max(initial=1)), x0.min(initial=0)
+    for offset in (0, span):
+        band = (y0 - y0.min(initial=0) + offset) // (2 * span)
+        key = band * (x1.max(initial=0) + 1 - left) + x0 - left
+        order = np.argsort(key, kind="stable")
+        ends = np.searchsorted(key[order], (key + w)[order])  # first box of the band past p's end
+        start = 0
+        while start < n:
+            breaks = np.flatnonzero(np.diff(label[order])) + 1
+            first = np.append(breaks, n)[np.searchsorted(breaks, index, "right")]  # past p's run
+            counts = np.maximum(ends - first, 0)
+            limit = max(_CHUNK_PAIRS, n)
+            stop = start + max(int(np.searchsorted(np.cumsum(counts[start:]), limit, "right")), 1)
+            counts = counts[start:stop]
+            p = np.repeat(index[start:stop], counts)
+            offsets = np.repeat(first[start:stop] - np.cumsum(counts) + counts, counts)
+            i, j = order[p], order[offsets + np.arange(len(p))]
+            ix = np.maximum(np.minimum(x1[i], x1[j]) - np.maximum(x0[i], x0[j]), 0)
+            iy = np.maximum(np.minimum(y1[i], y1[j]) - np.maximum(y0[i], y0[j]), 0)
+            close = 2 * ix * iy >= np.minimum(area[i], area[j])
+            label, start = _join(label, i[close], j[close]), stop
+    return label
 
 
 def group_hits(hits: list[tuple[int, int, int, int]], min_neighbors: int) -> list[Detection]:
     """Cluster raw hits whose intersection-over-min-area reaches 0.5.
 
-    Hits are merged union-find style in their given (deterministic) order;
-    clusters smaller than ``min_neighbors`` are dropped and survivors
-    collapse to their mean box.
+    Clusters are the connected components of that overlap graph, found
+    without testing every pair, in the order of their first hit in the
+    given (deterministic) order; clusters smaller than ``min_neighbors``
+    are dropped and survivors collapse to their mean box.
     """
-    parent = list(range(len(hits)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(hits)):
-        for j in range(i + 1, len(hits)):
-            if _overlap_ratio(hits[i], hits[j]) >= 0.5:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(hits)):
-        clusters.setdefault(find(i), []).append(i)
-
-    detections = []
-    for root in sorted(clusters):
-        members = clusters[root]
-        if len(members) < min_neighbors:
-            continue
-        boxes = np.array([hits[i] for i in members], dtype=np.float64)
-        mean = np.round(boxes.mean(axis=0)).astype(int)
-        detections.append(Detection(*mean.tolist(), neighbors=len(members)))
-    return detections
+    boxes = np.asarray(hits, dtype=np.int64).reshape(-1, 4)
+    label = _cluster_labels(boxes)
+    sizes = np.bincount(label, minlength=len(boxes))
+    roots = np.flatnonzero(sizes)
+    sums = np.stack([np.bincount(label, weights=col, minlength=len(boxes)) for col in boxes.T], 1)
+    means = np.round(sums[roots] / sizes[roots, None]).astype(int)
+    return [Detection(*mean, neighbors=size)
+            for mean, size in zip(means.tolist(), sizes[roots].tolist()) if size >= min_neighbors]
 
 
 def detect(
@@ -261,8 +323,18 @@ def detect(
     scale_factor: float = 1.1,
     min_neighbors: int = 3,
     min_size: tuple[int, int] | None = None,
+    on_scale: Callable[[float, tuple[int, int], int, list[int]], None] | None = None,
 ) -> list[Detection]:
-    """Multi-scale sliding-window detection over a grayscale image."""
+    """Multi-scale sliding-window detection over a grayscale image.
+
+    Each scale's windows, ``step = max(1, round(scale))`` apart, are
+    evaluated as arrays in raster order, a block of rows at a time: rect
+    sums for all origins come from fancy-indexing the integral images, and
+    only the windows that pass a stage go on to the next. The hits, in scale
+    then raster order, are clustered by ``group_hits``. ``on_scale`` gets
+    the scale, the window size ``(w, h)``, the windows scanned and the
+    survivors after each stage, counted by that same scan.
+    """
     gray = np.asarray(gray)
     h, w = gray.shape
     if h < cascade.window_h or w < cascade.window_w:
@@ -287,10 +359,17 @@ def detect(
         too_small = min_size is not None and (win_w < min_size[0] or win_h < min_size[1])
         if not too_small:
             step = max(1, int(round(scale)))
-            for y in range(0, h - win_h + 1, step):
-                for x in range(0, w - win_w + 1, step):
-                    if eval_window(cascade, ii, ii_sq, x, y, scale):
-                        hits.append((x, y, win_w, win_h))
+            ys, xs = np.arange(0, h - win_h + 1, step), np.arange(0, w - win_w + 1, step)
+            rows = max(1, _CHUNK_WINDOWS // len(xs))
+            survivors = [0] * len(cascade.stages)
+            for top in range(0, len(ys), rows):
+                origins = (ys[top : top + rows, None] * (w + 1) + xs).ravel()
+                passed, left = _cascade_survivors(cascade, ii, ii_sq, origins, scale)
+                survivors = [a + b for a, b in zip(survivors, left)]
+                py, px = np.divmod(passed, w + 1)
+                hits += [(x, y, win_w, win_h) for y, x in zip(py.tolist(), px.tolist())]
+            if on_scale is not None:
+                on_scale(scale, (win_w, win_h), len(ys) * len(xs), survivors)
         scale *= scale_factor
     return group_hits(hits, min_neighbors)
 

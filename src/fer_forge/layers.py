@@ -128,7 +128,11 @@ def softmax_xent_grad(probs: np.ndarray, target_onehot: np.ndarray) -> np.ndarra
 
 
 class Layer:
-    """Base layer: parameter storage plus forward/backward with a cache."""
+    """Base layer: parameter storage plus forward/backward with a cache.
+
+    ``_cache`` holds what ``backward`` needs from a training forward; a
+    forward with ``train=False`` leaves it None.
+    """
 
     kind = "layer"
 
@@ -235,7 +239,7 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train, rng):
-        self._cache = x
+        self._cache = x if train else None
         return relu_forward(x)
 
     def backward(self, grad):
@@ -269,7 +273,7 @@ class Dense(Layer):
         return (self.units,)
 
     def forward(self, x, train, rng):
-        self._cache = x
+        self._cache = x if train else None
         return dense_forward(x, self.params[0], self.params[1])
 
     def backward(self, grad):
@@ -317,7 +321,7 @@ class Flatten(Layer):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train, rng):
-        self._cache = x.shape
+        self._cache = x.shape if train else None
         return flatten(x)
 
     def backward(self, grad):
@@ -334,7 +338,7 @@ class Softmax(Layer):
 
     def forward(self, x, train, rng):
         probs = softmax_forward(x)
-        self._cache = probs
+        self._cache = probs if train else None
         return probs
 
     def backward(self, grad):

@@ -260,6 +260,32 @@ class TestRetainedCaches:
         assert np.array_equal(layer.forward(x, False, np.random.default_rng(0)), out)
         assert layer._cache is None
 
+    KINDS = {  # every layer kind with an input shape it accepts
+        "conv2d": ({"filters": 4}, (2, 5, 5)),
+        "maxpool2d": ({}, (2, 4, 4)),
+        "relu": ({}, (2, 3, 3)),
+        "dense": ({"units": 5}, (6,)),
+        "dropout": ({"rate": 0.5}, (6,)),
+        "flatten": ({}, (2, 3, 3)),
+        "softmax": ({}, (6,)),
+    }
+
+    def test_table_covers_every_layer_kind(self):
+        assert set(self.KINDS) == set(L.LAYER_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_inference_keeps_nothing_and_training_still_backpropagates(self, kind):
+        hyper, in_shape = self.KINDS[kind]
+        layer = self._built(LayerSpec(kind, hyper), in_shape)
+        x = np.random.default_rng(3).standard_normal((2, *in_shape)).astype(np.float32)
+        out = layer.forward(x, True, np.random.default_rng(0))
+        inferred = layer.forward(x, False, np.random.default_rng(0))
+        assert layer._cache is None
+        if kind != "dropout":  # dropout's training output is masked
+            assert np.array_equal(inferred, out)
+        out = layer.forward(x, True, np.random.default_rng(0))
+        assert layer.backward(np.ones_like(out)).shape == x.shape
+
 
 class TestLayerSpecs:
     def test_unknown_kind_rejected(self):
