@@ -11,7 +11,6 @@ import importlib.resources
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +21,15 @@ from . import train as T
 from . import tree as tr
 from .gradcheck import gradcheck_architecture
 from .optim import OptimizerConfig
+from .seeding import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-MODEL_NAMES = ("tree", "ffnn", "simple_cnn", "proposed_cnn")
+MODEL_NAMES = ("tree", *M.ARCHITECTURE_SPECS)
 DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001, "adam": 0.001}
+SWEEP_COLUMNS = ("model", "optimizer", "batch", "epochs", "lr", "decay", "accuracy", "error")
 
 MANIFEST_KEYS = {
     "model": str,
@@ -103,73 +104,49 @@ def _load_split(data_path: str, seed: int):
     return D.split_dataset(records, seed=seed)
 
 
-def _optimizer_config(optimizer: str, lr, decay) -> OptimizerConfig:
-    optimizer = optimizer.lower()
-    if optimizer not in DEFAULT_LR:
-        raise UsageError(f"unknown optimizer {optimizer!r}")
-    if lr is None:
-        lr = DEFAULT_LR[optimizer]
-    try:
-        return OptimizerConfig(kind=optimizer, learning_rate=lr, decay=decay or 0.0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-@dataclass
-class TrainSettings:
-    model: str
-    data: str
-    out: str
-    optimizer: str = "adam"
-    lr: float | None = None
-    decay: float = 0.0
-    batch: int = 128
-    epochs: int = 100
-    seed: int = 42
-    strict_epoch_eval: bool = False
-
-
-def _resolve_train_settings(args) -> TrainSettings:
-    manifest = parse_manifest(args.manifest) if args.manifest else {}
-    model = _merge(args, manifest, "model")
-    if model not in MODEL_NAMES:
-        raise UsageError(f"--model must be one of {MODEL_NAMES}, got {model!r}")
+def _run_settings(args, manifest: dict):
+    """The split, output directory, seed and strict-eval flag of a train or sweep."""
+    data_path = _require_file(_merge(args, manifest, "data"), "dataset")
     out = _merge(args, manifest, "out")
     if not out:
         raise UsageError("missing required output directory (--out)")
-    return TrainSettings(
-        model=model,
-        data=_require_file(_merge(args, manifest, "data"), "dataset"),
-        out=out,
-        optimizer=_merge(args, manifest, "optimizer", "adam"),
-        lr=_merge(args, manifest, "lr"),
-        decay=_merge(args, manifest, "decay", 0.0),
-        batch=_merge(args, manifest, "batch", 128),
-        epochs=_merge(args, manifest, "epochs", 100),
-        seed=_merge(args, manifest, "seed", 42),
-        strict_epoch_eval=bool(_merge(args, manifest, "strict_epoch_eval", False)),
-    )
+    seed = _merge(args, manifest, "seed", DEFAULT_SEED)
+    return _load_split(data_path, seed), out, seed, _merge(args, manifest, "strict_epoch_eval")
 
 
-def _train_tree(settings: TrainSettings, train_ds, test_ds) -> float:
-    root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig(seed=settings.seed))
-    tr.save_tree(root, os.path.join(settings.out, "tree.txt"))
-    preds = [tr.predict_tree(root, test_ds.images[i]) for i in range(len(test_ds))]
-    return T.accuracy(preds, test_ds.labels)
+def _given(**settings) -> dict:
+    """The settings that are set; the config classes hold every other default."""
+    return {key: value for key, value in settings.items() if value is not None}
 
 
-def _train_network(settings: TrainSettings, train_ds, test_ds) -> float:
-    net = M.BUILDERS[settings.model](seed=settings.seed)
-    cfg = T.TrainConfig(
-        optimizer=_optimizer_config(settings.optimizer, settings.lr, settings.decay),
-        batch_size=settings.batch,
-        max_epochs=settings.epochs,
-        seed=settings.seed,
-        strict_epoch_eval=settings.strict_epoch_eval,
-    )
+def _train_config(cell: dict, seed: int, strict) -> T.TrainConfig:
+    optimizer = cell["optimizer"].lower()
+    if optimizer not in DEFAULT_LR:
+        raise UsageError(f"unknown optimizer {optimizer!r}")
+    lr = DEFAULT_LR[optimizer] if cell["lr"] is None else cell["lr"]
+    try:
+        opt = OptimizerConfig(kind=optimizer, learning_rate=lr, **_given(decay=cell["decay"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return T.TrainConfig(opt, seed=seed, **_given(
+        batch_size=cell["batch"], max_epochs=cell["epochs"], strict_epoch_eval=strict))
+
+
+def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
+    """Fit one cell's model on a (train, test) split, write its files under ``out``
+    and return its test accuracy. Unset (None) cell fields take the config defaults."""
+    train_ds, test_ds = split
+    os.makedirs(out, exist_ok=True)
+    if cell["model"] == "tree":
+        root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig(seed=seed))
+        tr.save_tree(root, os.path.join(out, "tree.txt"))
+        preds = [tr.predict_tree(root, image) for image in test_ds.images]
+        return T.accuracy(preds, test_ds.labels)
+    cfg = _train_config(cell, seed, strict)
+    net = M.Network(M.ARCHITECTURE_SPECS[cell["model"]]()).build(seed)
     net, logs, stop_reason = T.train(net, train_ds, cfg)
-    M.save_model(net, os.path.join(settings.out, f"{settings.model}.femo"))
-    with open(os.path.join(settings.out, "epochs.csv"), "w", encoding="utf-8") as fh:
+    M.save_model(net, os.path.join(out, f"{cell['model']}.femo"))
+    with open(os.path.join(out, "epochs.csv"), "w", encoding="utf-8") as fh:
         fh.write(T.epoch_logs_csv(logs))
     test_acc, _, _ = T.evaluate(net, test_ds)
     print(f"stop_reason={stop_reason} epochs_ran={len(logs)}")
@@ -177,15 +154,15 @@ def _train_network(settings: TrainSettings, train_ds, test_ds) -> float:
 
 
 def cmd_train(args) -> int:
-    settings = _resolve_train_settings(args)
-    train_ds, test_ds = _load_split(settings.data, settings.seed)
-    os.makedirs(settings.out, exist_ok=True)
-    if settings.model == "tree":
-        test_acc = _train_tree(settings, train_ds, test_ds)
-    else:
-        test_acc = _train_network(settings, train_ds, test_ds)
+    manifest = parse_manifest(args.manifest) if args.manifest else {}
+    cell = {key: _merge(args, manifest, key) for key in ("model", "batch", "epochs", "lr", "decay")}
+    if cell["model"] not in MODEL_NAMES:
+        raise UsageError(f"--model must be one of {MODEL_NAMES}, got {cell['model']!r}")
+    cell["optimizer"] = _merge(args, manifest, "optimizer", "adam")
+    split, out, seed, strict = _run_settings(args, manifest)
+    test_acc = run_cell(cell, split, out, seed, strict)
     line = f"test_accuracy={test_acc:.4f}"
-    with open(os.path.join(settings.out, "result.txt"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
     print(line)
     return EXIT_OK
@@ -214,30 +191,25 @@ def _parse_cell(raw: str, default_model: str):
         raise UsageError(f"bad cell {raw!r}: non-numeric field") from None
 
 
-def _run_sweep_cell(job) -> dict:
-    cell, data_path, out_dir, seed, strict = job
+def _run_sweep_cell(split, job) -> dict:
+    cell, out_dir, seed, strict = job
     try:
-        settings = TrainSettings(
-            model=cell["model"],
-            data=data_path,
-            out=out_dir,
-            optimizer=cell["optimizer"],
-            lr=cell["lr"],
-            decay=cell["decay"],
-            batch=cell["batch"],
-            epochs=cell["epochs"],
-            seed=seed,
-            strict_epoch_eval=strict,
-        )
-        train_ds, test_ds = _load_split(data_path, seed)
-        os.makedirs(out_dir, exist_ok=True)
-        if cell["model"] == "tree":
-            acc = _train_tree(settings, train_ds, test_ds)
-        else:
-            acc = _train_network(settings, train_ds, test_ds)
+        acc = run_cell(cell, split, out_dir, seed, strict)
         return {**cell, "accuracy": f"{acc:.4f}", "error": ""}
     except Exception as exc:  # per-cell failures must not kill the sweep
         return {**cell, "accuracy": "", "error": str(exc)}
+
+
+_pool_split = None  # a pool worker's copy of the sweep's split, set once by _share_split
+
+
+def _share_split(split):
+    global _pool_split
+    _pool_split = split
+
+
+def _run_pooled_cell(job) -> dict:
+    return _run_sweep_cell(_pool_split, job)
 
 
 def load_default_grid() -> dict:
@@ -248,47 +220,37 @@ def load_default_grid() -> dict:
 
 def cmd_sweep(args) -> int:
     manifest = parse_manifest(args.manifest) if args.manifest else load_default_grid()
-    data_path = _require_file(_merge(args, manifest, "data"), "dataset")
-    out = _merge(args, manifest, "out")
-    if not out:
-        raise UsageError("missing required output directory (--out)")
-    seed = _merge(args, manifest, "seed", 42)
-    strict = bool(_merge(args, manifest, "strict_epoch_eval", False))
     default_model = _merge(args, manifest, "model", "proposed_cnn")
     cells = [_parse_cell(raw, default_model) for raw in manifest.get("cell", [])]
+    split, out, seed, strict = _run_settings(args, manifest)
 
     os.makedirs(out, exist_ok=True)
     jobs = []
     for i, cell in enumerate(cells):
         tag = f"cell_{i:02d}_{cell['model']}_{cell['optimizer']}_b{cell['batch']}_e{cell['epochs']}"
-        jobs.append((cell, data_path, os.path.join(out, tag), seed, strict))
+        jobs.append((cell, os.path.join(out, tag), seed, strict))
 
     workers = int(os.environ.get("FER_FORGE_THREADS", "1"))
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, jobs))
+        # workers get the split once at start, not per cell; a fork pool starts all at once
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_share_split,
+                                 initargs=(split,)) as pool:
+            results = list(pool.map(_run_pooled_cell, jobs))
     else:
-        results = [_run_sweep_cell(job) for job in jobs]
+        results = [_run_sweep_cell(split, job) for job in jobs]
 
-    header = "model,optimizer,batch,epochs,lr,decay,accuracy,error"
-    lines = [header]
-    for r in results:
-        lines.append(
-            f"{r['model']},{r['optimizer']},{r['batch']},{r['epochs']},"
-            f"{r['lr']},{r['decay']},{r['accuracy']},{r['error']}"
-        )
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join(str(r[column]) for column in SWEEP_COLUMNS) for r in results]
     sweep_csv = "\n".join(lines) + "\n"
     with open(os.path.join(out, "sweep_results.csv"), "w", encoding="utf-8") as fh:
         fh.write(sweep_csv)
     print(sweep_csv, end="")
 
-    models_seen = {r["model"] for r in results}
-    if len(models_seen) > 1:
+    if len({r["model"] for r in results}) > 1:
         best: dict[str, float] = {}
         for r in results:
             if r["accuracy"]:
-                acc = float(r["accuracy"])
-                best[r["model"]] = max(best.get(r["model"], 0.0), acc)
+                best[r["model"]] = max(best.get(r["model"], 0.0), float(r["accuracy"]))
         rows = ["model,accuracy"] + [f"{m},{best[m]:.4f}" for m in sorted(best)]
         with open(os.path.join(out, "model_comparison.csv"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -299,7 +261,7 @@ def cmd_eval(args) -> int:
     model_path = _require_file(args.model_file, "model file")
     data_path = _require_file(args.data, "dataset")
     net = M.load_model(model_path)
-    _, test_ds = _load_split(data_path, args.seed if args.seed is not None else 42)
+    _, test_ds = _load_split(data_path, args.seed if args.seed is not None else DEFAULT_SEED)
     if len(test_ds) == 0:
         raise UsageError("dataset has no test records")
     acc, probs, preds = T.evaluate(net, test_ds)
@@ -372,7 +334,8 @@ def cmd_detect(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.model == "tree":
         raise UsageError("gradcheck applies to the neural architectures only")
-    report = gradcheck_architecture(args.model, seed=args.seed if args.seed is not None else 42)
+    report = gradcheck_architecture(
+        args.model, seed=args.seed if args.seed is not None else DEFAULT_SEED)
     for entry in report.entries:
         status = "pass" if entry.error < report.tolerance else "FAIL"
         print(f"{entry.label} rel_err={entry.error:.3e} {status}")
@@ -400,15 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, model=False, data=False, out=False, seed=True):
+    def add_common(p, *, model=False, data=False, out=False):
         if model:
             p.add_argument("--model", choices=MODEL_NAMES)
         if data:
             p.add_argument("--data", help="FER-2013 style CSV")
         if out:
             p.add_argument("--out", help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int)
 
     p_train = sub.add_parser("train", help="train one model and report test accuracy")
     add_common(p_train, model=True, data=True, out=True)
@@ -466,10 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (D.DataFormatError, fd.PnmFormatError, fd.CascadeFormatError,
+    except (UsageError, D.DataFormatError, fd.PnmFormatError, fd.CascadeFormatError,
             M.ModelFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -68,18 +68,6 @@ def normalize_pixels(pixels: np.ndarray) -> np.ndarray:
     return np.asarray(pixels, dtype=np.float32) / 255.0
 
 
-def denormalize_pixels(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float32) * 255.0
-
-
-def one_hot(label: int) -> np.ndarray:
-    if not 0 <= label < NUM_CLASSES:
-        raise ValueError(f"label {label} outside 0..{NUM_CLASSES - 1}")
-    vec = np.zeros(NUM_CLASSES, dtype=np.float32)
-    vec[label] = 1.0
-    return vec
-
-
 def parse_fer_csv(source: str | IO[str]) -> list[FerRecord]:
     """Parse a FER-2013 CSV from a path or text stream.
 

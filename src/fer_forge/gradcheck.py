@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import Layer, LayerSpec
 from .models import ARCHITECTURE_SPECS
-from .seeding import derive_seed
+from .seeding import DEFAULT_SEED, derive_seed
 
 DEFAULT_H = 1e-6
 DEFAULT_TOLERANCE = 1e-5
@@ -124,7 +124,7 @@ class GradcheckReport:
 
 def gradcheck_architecture(
     model_name: str,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     tolerance: float = DEFAULT_TOLERANCE,
     corrupt_layer: int | None = None,
 ) -> GradcheckReport:

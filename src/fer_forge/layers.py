@@ -153,12 +153,6 @@ class Layer:
     def l2_terms(self) -> list[tuple[float, np.ndarray]]:
         return []
 
-    def hyperparams(self) -> dict:
-        return {}
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, **self.hyperparams()}
-
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     limit = np.sqrt(6.0 / fan_in)
@@ -203,14 +197,6 @@ class Conv2D(Layer):
         self.grads[0][...] = grad_k
         self.grads[1][...] = grad_b
         return grad_x
-
-    def hyperparams(self):
-        return {
-            "filters": self.filters,
-            "kernel_size": self.geom.kernel_h,
-            "stride": self.geom.stride,
-            "padding": self.geom.padding,
-        }
 
 
 class MaxPool2D(Layer):
@@ -289,9 +275,6 @@ class Dense(Layer):
             return [(self.l2_penalty, self.params[0])]
         return []
 
-    def hyperparams(self):
-        return {"units": self.units, "l2_penalty": self.l2_penalty, "init": self.init}
-
 
 class Dropout(Layer):
     kind = "dropout"
@@ -309,9 +292,6 @@ class Dropout(Layer):
 
     def backward(self, grad):
         return dropout_backward(self._cache, grad)
-
-    def hyperparams(self):
-        return {"rate": self.rate}
 
 
 class Flatten(Layer):

@@ -10,6 +10,7 @@ load rebuilds the exact network and restores bit-identical parameters.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -57,7 +58,12 @@ class Network:
         self.specs = specs
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
-        self.layers: list[L.Layer] = [spec.materialize() for spec in specs]
+        self.layers: list[L.Layer] = []
+        for i, spec in enumerate(specs):
+            try:
+                self.layers.append(spec.materialize())
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
         self.built = False
 
     def build(self, seed: int = 0) -> "Network":
@@ -213,12 +219,7 @@ def build_proposed_cnn(dense_units: int = 512, padding: int = 0, seed: int = 0) 
     return Network(proposed_cnn_specs(dense_units, padding)).build(seed)
 
 
-BUILDERS = {
-    "ffnn": build_feedforward,
-    "simple_cnn": build_simple_cnn,
-    "proposed_cnn": build_proposed_cnn,
-}
-
+# The one architecture registry: model name -> layer-spec function.
 ARCHITECTURE_SPECS = {
     "ffnn": feedforward_specs,
     "simple_cnn": simple_cnn_specs,
@@ -242,30 +243,33 @@ def save_model(net: Network, path: str):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """Read n bytes, checked against the bytes left first: ``read`` allocates n up front."""
+    at = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - at
+    if n > left:
         raise TruncatedFileError(
-            f"file truncated while reading {what} at byte {fh.tell() - len(buf)}"
+            f"file truncated: {what} at byte {at} needs {n} bytes, {left} left"
         )
-    return buf
+    return fh.read(n)
 
 
 def _network_from_arch(arch) -> Network:
     """Rebuild the network an arch descriptor describes; any defect is a ModelFileError."""
-    if not isinstance(arch, dict) or not isinstance(arch.get("layers"), list):
-        raise ModelFileError("arch descriptor must be a JSON object with a 'layers' list")
+    if not (isinstance(arch, dict) and isinstance(arch.get("layers"), list)
+            and isinstance(arch.get("input_shape"), list)
+            and isinstance(arch.get("num_classes"), int)):
+        raise ModelFileError("arch descriptor must be a JSON object with 'input_shape', "
+                             "'num_classes' and a 'layers' list")
     specs = []
     for i, desc in enumerate(arch["layers"]):
         try:
-            spec = LayerSpec(desc["kind"], dict(desc.get("hyper", {})))
-            spec.materialize()  # only to name the failing layer; Network builds its own
+            specs.append(LayerSpec(desc["kind"], dict(desc.get("hyper", {}))))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"arch layer {i}: bad descriptor {desc!r} ({exc!r})") from exc
-        specs.append(spec)
     try:
         return Network(specs, tuple(arch["input_shape"]), arch["num_classes"]).build(seed=0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFileError(f"arch descriptor does not build a network: {exc!r}") from exc
+    except (TypeError, ValueError) as exc:  # Network names a failing layer by its index
+        raise ModelFileError(f"arch {exc}") from exc
 
 
 def load_model(path: str) -> Network:

@@ -5,6 +5,7 @@ feature subsampling) draws its seed from a single base seed through
 ``derive_seed``, so runs are reproducible while the streams stay independent.
 """
 
+DEFAULT_SEED = 42  # the base seed of every run, config and check not given one
 _MASK64 = (1 << 64) - 1
 
 

@@ -1,4 +1,4 @@
-"""Dense array kernels: convolution, max pooling and matrix multiply.
+"""Dense array kernels: convolution and max pooling.
 
 Tensors are plain numpy arrays in row-major (C) order. Training runs in
 float32; gradient checking promotes to float64 because finite differences
@@ -321,14 +321,3 @@ def maxpool_backward(index_map: PoolIndexMap, grad_out: np.ndarray) -> np.ndarra
     for corner, view in enumerate(_pool_corners(_as_batch(grad_input, "input")[0])):
         np.multiply(gb, winners == corner, out=view)
     return grad_input
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D tensors."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner axes disagree: a columns ({a.shape[1]}) vs b rows ({b.shape[0]})"
-        )
-    return a @ b

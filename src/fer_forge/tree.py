@@ -95,19 +95,28 @@ def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
     return best
 
 
+def _pixel_units(values) -> np.ndarray:
+    """Features as float64 pixel values (0..255), decided by dtype alone.
+
+    float32 is the normalized [0,1] image dtype of ``data.LabeledDataset``
+    and is scaled by 255; every other dtype (raw uint8 pixels, pixel-valued
+    feature matrices) already holds pixel values.
+    """
+    x = np.asarray(values)
+    pixels = np.asarray(x, dtype=np.float64)
+    return pixels * 255.0 if x.dtype == np.float32 else pixels
+
+
 def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = None) -> TreeNode:
-    """Grow a tree on flattened pixel features (values in pixel units).
+    """Grow a tree on flattened pixel features, thresholds in pixel units.
 
     ``images`` may be [N,1,48,48] normalized tensors or an [N,F] feature
-    matrix; normalized inputs are rescaled to 0..255 so thresholds read as
-    pixel values.
+    matrix; see ``_pixel_units`` for how the dtype sets the units.
     """
     cfg = cfg or TreeConfig()
-    x = np.asarray(images, dtype=np.float64)
+    x = _pixel_units(images)
     if x.ndim > 2:
         x = x.reshape(x.shape[0], -1)
-    if x.size and x.max() <= 1.0:
-        x = x * 255.0
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
@@ -143,9 +152,7 @@ def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = No
 
 def predict_tree(root: TreeNode, image: np.ndarray) -> int:
     """Walk feature <= threshold questions down to a leaf's class."""
-    x = np.asarray(image, dtype=np.float64).reshape(-1)
-    if x.size and x.max() <= 1.0:
-        x = x * 255.0
+    x = _pixel_units(image).reshape(-1)
     node = root
     while not node.is_leaf:
         node = node.left if x[node.feature_index] <= node.threshold else node.right

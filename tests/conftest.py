@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic CSV builders, datasets, cascades and malformed model files."""
+"""Shared fixtures: synthetic CSV builders, datasets, cascades, malformed model files
+and the small helpers only tests use."""
 
 import json
 import struct
@@ -6,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from fer_forge.data import LabeledDataset
+from fer_forge.data import NUM_CLASSES, LabeledDataset, class_histogram
 from fer_forge.models import FORMAT_VERSION, MAGIC
+from fer_forge.tensor import ShapeError
 
 
 def make_fer_csv(rows, header="emotion,pixels,Usage"):
@@ -141,3 +143,31 @@ MALFORMED_ARCHS = {
         "layer 1",
     ),
 }
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two 2-D tensors."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(
+            f"inner axes disagree: a columns ({a.shape[1]}) vs b rows ({b.shape[0]})"
+        )
+    return a @ b
+
+
+def denormalize_pixels(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.float32) * 255.0
+
+
+def one_hot(label: int) -> np.ndarray:
+    if not 0 <= label < NUM_CLASSES:
+        raise ValueError(f"label {label} outside 0..{NUM_CLASSES - 1}")
+    vec = np.zeros(NUM_CLASSES, dtype=np.float32)
+    vec[label] = 1.0
+    return vec
+
+
+def check_confusion_row_sums(matrix, dataset: LabeledDataset) -> bool:
+    """Row sums of the confusion matrix must equal the per-class test counts."""
+    return bool(np.array_equal(matrix.counts.sum(axis=1), class_histogram(dataset)))

@@ -3,16 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_fer_csv, random_rows
+from conftest import denormalize_pixels, make_fer_csv, one_hot, random_rows
 from fer_forge.data import (
     DataFormatError,
     LabeledDataset,
     batches,
     class_histogram,
-    denormalize_pixels,
     histogram_csv,
     normalize_pixels,
-    one_hot,
     parse_fer_csv,
     random_split,
     split_dataset,

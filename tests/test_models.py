@@ -230,6 +230,13 @@ class TestPersistence:
         with pytest.raises(DimOverflowError):
             load_model(path)
 
+    def test_arch_length_past_end_of_file_names_both(self, tmp_path):
+        # 14 bytes: magic, version 1, an arch length of 0xFFFFFFF0 and 2 bytes of arch
+        path = tmp_path / "huge_arch.femo"
+        path.write_bytes(b"FEMO" + struct.pack("<II", 1, 0xFFFFFFF0) + b"{}")
+        with pytest.raises(TruncatedFileError, match="needs 4294967280 bytes, 2 left"):
+            load_model(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         net = build_feedforward(hidden1=8, hidden2=8, seed=0)
         path = self._save(tmp_path, net)

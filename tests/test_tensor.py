@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import matmul
 from fer_forge.gradcheck import fd_gradient, relative_error
 from fer_forge.tensor import (
     ConvGeometry,
@@ -8,7 +9,6 @@ from fer_forge.tensor import (
     conv2d_backward,
     conv2d_forward,
     conv2d_forward_direct,
-    matmul,
     maxpool_backward,
     maxpool_forward,
 )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fer_forge.train as T
-from conftest import synthetic_dataset
+from conftest import check_confusion_row_sums, synthetic_dataset
 from fer_forge.models import build_feedforward
 from fer_forge.optim import Optimizer, OptimizerConfig
 from fer_forge.train import (
@@ -10,7 +10,6 @@ from fer_forge.train import (
     TrainingDivergedError,
     accuracy,
     argmax_labels,
-    check_confusion_row_sums,
     confusion,
     early_stop,
     epoch_logs_csv,

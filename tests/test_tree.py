@@ -216,3 +216,21 @@ class TestConfig:
     def test_min_split_lower_bound(self):
         with pytest.raises(ValueError):
             TreeConfig(min_samples_split=1)
+
+
+class TestPixelUnits:
+    def test_raw_uint8_pixels_are_not_rescaled(self):
+        # pixel 0 alone decides the class; every value is 0 or 1
+        x = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1], [1, 1, 0]], dtype=np.uint8)
+        root = fit_tree(x, np.array([0, 0, 1, 1]), TreeConfig(min_samples_split=2))
+        assert tree_to_lines(root)[0] == "I 0 0.5"
+        assert predict_tree(root, np.array([1, 200, 0], dtype=np.uint8)) == 1
+        assert predict_tree(root, np.array([0, 200, 0], dtype=np.uint8)) == 0
+
+    def test_dtype_not_range_sets_units(self):
+        # the same 0/1 values: float32 is normalized (0.5 -> pixel 127.5), float64 is pixels
+        x = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([2, 2, 5, 5])
+        cfg = TreeConfig(min_samples_split=2)
+        assert tree_to_lines(fit_tree(x.astype(np.float32), y, cfg))[0] == "I 0 127.5"
+        assert tree_to_lines(fit_tree(x, y, cfg))[0] == "I 0 0.5"
