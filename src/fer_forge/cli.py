@@ -218,7 +218,20 @@ def load_default_grid() -> dict:
         return parse_manifest(str(path))
 
 
+def _sweep_workers() -> int:
+    """Process count of a sweep: ``FER_FORGE_THREADS``, a positive integer, default 1."""
+    raw = os.environ.get("FER_FORGE_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"FER_FORGE_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def cmd_sweep(args) -> int:
+    workers = _sweep_workers()
     manifest = parse_manifest(args.manifest) if args.manifest else load_default_grid()
     default_model = _merge(args, manifest, "model", "proposed_cnn")
     cells = [_parse_cell(raw, default_model) for raw in manifest.get("cell", [])]
@@ -230,7 +243,6 @@ def cmd_sweep(args) -> int:
         tag = f"cell_{i:02d}_{cell['model']}_{cell['optimizer']}_b{cell['batch']}_e{cell['epochs']}"
         jobs.append((cell, os.path.join(out, tag), seed, strict))
 
-    workers = int(os.environ.get("FER_FORGE_THREADS", "1"))
     if workers > 1 and len(jobs) > 1:
         # workers get the split once at start, not per cell; a fork pool starts all at once
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_share_split,

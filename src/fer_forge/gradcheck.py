@@ -44,8 +44,9 @@ def check_layer_detailed(
 ) -> tuple[float, str]:
     """Max relative FD error over a layer's gradients, plus which one it was.
 
-    The scalar objective is a random projection of the output, plus the
-    layer's own L2 penalty so regularized gradients are exercised too.
+    The layer sees a batch of two samples of ``in_shape``. The scalar
+    objective is a random projection of the output, plus the layer's own
+    L2 penalty so regularized gradients are exercised too.
     Returns (error, gradient label) where the label is "input" or "param N".
     """
     out_shape = layer.build(in_shape, np.random.default_rng(derive_seed(seed, "build")))
@@ -53,8 +54,8 @@ def check_layer_detailed(
         layer.params[i] = p.astype(np.float64)
         layer.grads[i] = np.zeros_like(layer.params[i])
 
-    x = np.random.default_rng(derive_seed(seed, "input")).standard_normal(in_shape)
-    proj = np.random.default_rng(derive_seed(seed, "proj")).standard_normal(out_shape)
+    x = np.random.default_rng(derive_seed(seed, "input")).standard_normal((2, *in_shape))
+    proj = np.random.default_rng(derive_seed(seed, "proj")).standard_normal((2, *out_shape))
     mask_seed = derive_seed(seed, "mask")
 
     def objective() -> float:
@@ -77,16 +78,12 @@ def check_layer_detailed(
     return worst, worst_part
 
 
-def check_layer(layer: Layer, in_shape: tuple[int, ...], seed: int, h: float = DEFAULT_H) -> float:
-    return check_layer_detailed(layer, in_shape, seed, h)[0]
-
-
-_TOY_INPUTS = {
-    "conv2d": (2, 12, 12),
-    "maxpool2d": (2, 12, 12),
-    "relu": (2, 12, 12),
-    "dropout": (2, 12, 12),
-    "flatten": (2, 6, 6),
+_TOY_INPUTS = {  # per sample: (H,W,C) images, (D,) features
+    "conv2d": (12, 12, 2),
+    "maxpool2d": (12, 12, 2),
+    "relu": (12, 12, 2),
+    "dropout": (12, 12, 2),
+    "flatten": (6, 6, 2),
     "dense": (24,),
     "softmax": (7,),
 }

@@ -2,7 +2,8 @@
 
 Module-level functions hold the math; the Layer classes below wrap them
 with parameter storage and per-forward caches so networks can run a
-backward pass without an autodiff graph. All backward passes are checked
+backward pass without an autodiff graph. Layers take [N,H,W,C] or [N,D]
+batches and ``build`` per-sample shapes. All backward passes are checked
 against central finite differences in the test suite.
 """
 
@@ -14,11 +15,11 @@ import numpy as np
 from .tensor import (
     ConvGeometry,
     ShapeError,
+    conv2d,
     conv2d_backward,
-    conv2d_forward,
     maxpool,
+    maxpool_argmax,
     maxpool_backward,
-    maxpool_forward,
 )
 
 log = logging.getLogger(__name__)
@@ -28,9 +29,9 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is defined as 0
-    return grad * (x > 0)
+def relu_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    # out = relu(x) is > 0 exactly where x is; the subgradient at 0 is 0
+    return grad * (out > 0)
 
 
 def softmax_forward(logits: np.ndarray) -> np.ndarray:
@@ -59,12 +60,8 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x2 = x if x.ndim == 2 else x[None]
-    g2 = grad if grad.ndim == 2 else grad[None]
-    grad_w = x2.T @ g2
-    grad_b = g2.sum(axis=0)
-    grad_x = grad @ weights.T
-    return grad_x, grad_w, grad_b
+    """(grad_x, grad_w, grad_b) of ``dense_forward`` on an [N,D] batch."""
+    return grad @ weights.T, x.T @ grad, grad.sum(axis=0)
 
 
 def dropout_forward(
@@ -81,8 +78,10 @@ def dropout_forward(
     if not train or rate == 0.0:
         return x, None
     gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    keep = gen.random(x.shape) >= rate
-    mask = keep.astype(x.dtype) / (1.0 - rate)
+    # drawn in [N,C,H,W] order for an image batch, so the layout does not change
+    # which units a seed drops
+    keep = np.moveaxis(gen.random(np.moveaxis(x, -1, 1).shape), 1, -1) >= rate
+    mask = keep.astype(x.dtype, order="C") / (1.0 - rate)
     return x * mask, mask
 
 
@@ -91,10 +90,8 @@ def dropout_backward(mask: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major flatten of [C,H,W] (or each sample of [N,C,H,W])."""
-    if x.ndim == 3:
-        return x.reshape(-1)
-    return x.reshape(x.shape[0], -1)
+    """Each sample of an [N,H,W,C] batch as a row in [C,H,W] order, as dense weights expect."""
+    return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
 
 def cross_entropy_loss(
@@ -107,11 +104,9 @@ def cross_entropy_loss(
     ``probs`` must come from a softmax; a batch is averaged. Probabilities
     at the true class are clamped at 1e-12 before the log.
     """
-    p = probs if probs.ndim == 2 else probs[None]
-    t = target_onehot if target_onehot.ndim == 2 else target_onehot[None]
-    if p.shape != t.shape:
+    if probs.shape != target_onehot.shape:
         raise ShapeError(f"probs {probs.shape} and targets {target_onehot.shape} disagree")
-    true_p = (p * t).sum(axis=-1)
+    true_p = (probs * target_onehot).sum(axis=-1)
     degenerate = true_p <= 0
     if degenerate.any():
         log.warning("clamped %d degenerate probabilities before log", int(degenerate.sum()))
@@ -176,8 +171,8 @@ class Conv2D(Layer):
 
     def build(self, in_shape, rng):
         if len(in_shape) != 3:
-            raise ShapeError(f"conv2d expects [C,H,W] input, got {in_shape}")
-        c, h, w = in_shape
+            raise ShapeError(f"conv2d expects (H,W,C) input, got {in_shape}")
+        h, w, c = in_shape
         oh, ow = self.geom.out_hw(h, w)
         fan_in = c * self.geom.kernel_h * self.geom.kernel_w
         kernels = _he_uniform(
@@ -186,11 +181,11 @@ class Conv2D(Layer):
         bias = np.zeros(self.filters, dtype=np.float32)
         self.params = [kernels, bias]
         self.grads = [np.zeros_like(kernels), np.zeros_like(bias)]
-        return (self.filters, oh, ow)
+        return (oh, ow, self.filters)
 
     def forward(self, x, train, rng):
         self._cache = x if train else None
-        return conv2d_forward(x, self.params[0], self.params[1], self.geom)
+        return conv2d(x, self.params[0], self.params[1], self.geom)
 
     def backward(self, grad):
         grad_x, grad_k, grad_b = conv2d_backward(self._cache, self.params[0], self.geom, grad)
@@ -204,17 +199,17 @@ class MaxPool2D(Layer):
 
     def build(self, in_shape, rng):
         if len(in_shape) != 3:
-            raise ShapeError(f"maxpool2d expects [C,H,W] input, got {in_shape}")
-        c, h, w = in_shape
+            raise ShapeError(f"maxpool2d expects (H,W,C) input, got {in_shape}")
+        h, w, c = in_shape
         if h < 2 or w < 2:
             raise ShapeError(f"maxpool2d needs spatial dims >= 2, got {in_shape}")
-        return (c, h // 2, w // 2)
+        return (h // 2, w // 2, c)
 
     def forward(self, x, train, rng):
         if not train:
             self._cache = None
             return maxpool(x)
-        out, self._cache = maxpool_forward(x)
+        out, self._cache = maxpool_argmax(x)
         return out
 
     def backward(self, grad):
@@ -225,8 +220,9 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train, rng):
-        self._cache = x if train else None
-        return relu_forward(x)
+        out = relu_forward(x)
+        self._cache = out if train else None  # the next layer's input, kept anyway
+        return out
 
     def backward(self, grad):
         return relu_backward(self._cache, grad)
@@ -298,6 +294,8 @@ class Flatten(Layer):
     kind = "flatten"
 
     def build(self, in_shape, rng):
+        if len(in_shape) != 3:
+            raise ShapeError(f"flatten expects (H,W,C) input, got {in_shape}")
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train, rng):
@@ -305,7 +303,8 @@ class Flatten(Layer):
         return flatten(x)
 
     def backward(self, grad):
-        return grad.reshape(self._cache)
+        n, h, w, c = self._cache
+        return grad.reshape(n, c, h, w).transpose(0, 2, 3, 1)
 
 
 class Softmax(Layer):

@@ -22,7 +22,7 @@ from .seeding import derive_seed
 
 MAGIC = b"FEMO"
 FORMAT_VERSION = 1
-INPUT_SHAPE = (1, 48, 48)
+INPUT_SHAPE = (1, 48, 48)  # one image, channels first
 _MAX_DIM = 1 << 31
 _MAX_ELEMENTS = 1 << 31
 
@@ -52,6 +52,9 @@ class Network:
 
     The final layer must be a softmax over ``num_classes`` outputs; any
     adjacent shape incompatibility raises at build, not at first forward.
+    Images arrive as NCHW batches, the layout of the datasets and of
+    ``preprocess_face``; the layers run on the channels-last view, so the
+    shape trace of a (C,H,W) ``input_shape`` starts at (H,W,C).
     """
 
     def __init__(self, specs: list[LayerSpec], input_shape=INPUT_SHAPE, num_classes=NUM_CLASSES):
@@ -68,7 +71,7 @@ class Network:
 
     def build(self, seed: int = 0) -> "Network":
         rng = np.random.default_rng(derive_seed(seed, "init"))
-        shape = self.input_shape
+        shape = self.input_shape[1:] + self.input_shape[:1]
         trace = [shape]
         for i, layer in enumerate(self.layers):
             try:
@@ -104,10 +107,14 @@ class Network:
         return [term for layer in self.layers for term in layer.l2_terms()]
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
         self._require_built()
+        if x.shape[1:] != self.input_shape:
+            raise ShapeError(f"expected input [N,{','.join(map(str, self.input_shape))}], "
+                             f"got shape {x.shape}")
         if rng is None:
             rng = np.random.default_rng(0)
-        out = x
+        out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
         for layer in self.layers:
             out = layer.forward(out, train, rng)
         return out
@@ -116,7 +123,7 @@ class Network:
         """Class probabilities for one preprocessed [1,48,48] image."""
         if image.shape != self.input_shape:
             raise ShapeError(f"expected input shape {self.input_shape}, got {image.shape}")
-        return self.forward(image, train=False)
+        return self.forward(image[None], train=False)[0]
 
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
         """Mean cross-entropy over the batch; fills every layer's grads.
@@ -126,8 +133,7 @@ class Network:
         """
         probs = self.forward(x, train=True, rng=rng)
         loss = cross_entropy_loss(probs, target_onehot, self.l2_terms())
-        batch = probs.shape[0] if probs.ndim == 2 else 1
-        grad = softmax_xent_grad(probs, target_onehot) / batch
+        grad = softmax_xent_grad(probs, target_onehot) / probs.shape[0]
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)
         return loss, probs

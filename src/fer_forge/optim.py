@@ -3,7 +3,7 @@
 All three share the schedule lr_t = lr / (1 + decay * t), where t is the
 global update count (first update sees t = 1). Defaults follow the usual
 framework conventions: Adam beta1=0.9 / beta2=0.999, RMSProp rho=0.9,
-epsilon 1e-7, SGD without momentum.
+epsilon 1e-7. SGD is the plain step lr_t * grad.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,6 @@ class OptimizerConfig:
     kind: str
     learning_rate: float
     decay: float = 0.0
-    momentum: float = 0.0
     rho: float = 0.9
     beta1: float = 0.9
     beta2: float = 0.999
@@ -31,7 +30,7 @@ class OptimizerConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.decay < 0:
             raise ValueError(f"decay must be >= 0, got {self.decay}")
-        for name in ("momentum", "rho", "beta1", "beta2"):
+        for name in ("rho", "beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0,1), got {v}")
@@ -41,7 +40,7 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Step counter plus per-parameter moment/velocity accumulators."""
+    """Step counter plus per-parameter first/second moment accumulators."""
 
     t: int = 0
     m: list = field(default_factory=list)
@@ -63,14 +62,7 @@ def schedule_lr(cfg: OptimizerConfig, t: int) -> float:
 def sgd_step(
     w: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, state: OptimizerState, slot: int = 0
 ) -> np.ndarray:
-    lr = schedule_lr(cfg, state.t)
-    if cfg.momentum > 0:
-        vel = state.v[slot]
-        vel *= cfg.momentum
-        vel += grad
-        w -= lr * vel
-    else:
-        w -= lr * grad
+    w -= schedule_lr(cfg, state.t) * grad
     return w
 
 

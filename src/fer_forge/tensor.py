@@ -2,19 +2,18 @@
 
 Tensors are plain numpy arrays in row-major (C) order. Training runs in
 float32; gradient checking promotes to float64 because finite differences
-are unreliable in single precision. Every kernel accepts a single sample
-([C,H,W]) or a batch ([N,C,H,W]) and returns the matching rank.
+are unreliable in single precision. The kernels the layers call take and
+return [N,H,W,C] batches; conv kernels keep the model file's
+[C_out,C_in,kh,kw]. ``conv2d_forward`` and ``maxpool_forward`` are
+transposes around them for an NCHW sample or batch.
 
-Convolution works channels-last inside the kernel: the zero-padded input
-is copied once to [N,H,W,C] and viewed as rows [N*H*W, C]. Kernel tap
-(i, j) then reads the contiguous row slice starting at i*W + j, so the
-output is a sum of one GEMM per tap over the whole stride-1 grid, cropped
-to the valid (strided) positions at the end; backward reuses the same
-slices. No patch matrix is built or kept. When C_in*kh*kw is small (the
-single-channel first layer) each tap GEMM would be a thin rank-C update,
-so the operand shape selects a transient patch-matrix GEMM instead.
-Activations stay [N,C,H,W] at the interface. A direct sliding-window loop
-is kept as an independent reference; the test suite asserts they agree.
+Convolution views the (padded) batch as rows [N*H*W, C]: kernel tap (i, j)
+reads the contiguous row slice starting at i*W + j, so the output is a sum
+of one GEMM per tap over the whole stride-1 grid, cropped to the valid
+(strided) positions by the bias add; backward reuses the same slices. No
+patch matrix is built or kept. When C_in*kh*kw is small (the single-channel
+first layer) each tap GEMM would be a thin rank-C update, so the operand
+shape selects a transient patch-matrix GEMM instead.
 """
 
 from dataclasses import dataclass
@@ -56,20 +55,14 @@ class ConvGeometry:
         return self.out_dim(in_h, self.kernel_h), self.out_dim(in_w, self.kernel_w)
 
 
-def _as_batch(x: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(f"{name} must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
-
-
 def _check_conv_operands(x: np.ndarray, kernels: np.ndarray, geom: ConvGeometry):
+    if x.ndim != 4:
+        raise ShapeError(f"input must be [N,H,W,C], got shape {x.shape}")
     if kernels.ndim != 4:
         raise ShapeError(f"kernels must be [C_out,C_in,kh,kw], got shape {kernels.shape}")
-    if x.shape[1] != kernels.shape[1]:
+    if x.shape[3] != kernels.shape[1]:
         raise ShapeError(
-            f"input channel axis ({x.shape[1]}) does not match kernel C_in axis ({kernels.shape[1]})"
+            f"input channel axis ({x.shape[3]}) does not match kernel C_in axis ({kernels.shape[1]})"
         )
     if (kernels.shape[2], kernels.shape[3]) != (geom.kernel_h, geom.kernel_w):
         raise ShapeError(
@@ -78,13 +71,13 @@ def _check_conv_operands(x: np.ndarray, kernels: np.ndarray, geom: ConvGeometry)
         )
 
 
-def _channels_last(x: np.ndarray, padding: int, dtype) -> np.ndarray:
-    """Copy a [N,C,H,W] batch into a zero-padded channels-last [N,H+2p,W+2p,C] array."""
-    n, c, h, w = x.shape
+def _padded(x: np.ndarray, padding: int, dtype) -> np.ndarray:
+    """``x`` zero-padded on its spatial axes as a contiguous ``dtype`` array; ``x`` itself
+    when it already is one and ``padding`` is 0."""
     p = padding
-    out = (np.zeros if p else np.empty)((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
-    out[:, p : h + p, p : w + p] = x.transpose(0, 2, 3, 1)
-    return out
+    if p:
+        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    return np.ascontiguousarray(x, dtype=dtype)
 
 
 # Up to this many taps times input channels a patch matrix is cheaper than
@@ -131,29 +124,27 @@ def _tap_offsets(geom: ConvGeometry, padded_w: int) -> list[int]:
     return [i * padded_w + j for i in range(geom.kernel_h) for j in range(geom.kernel_w)]
 
 
-def conv2d_forward(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry
-) -> np.ndarray:
-    """Cross-correlate ``x`` with ``kernels`` and add per-channel ``bias``.
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry) -> np.ndarray:
+    """Cross-correlate an [N,H,W,C] batch with ``kernels`` and add per-channel ``bias``.
 
     Each output element is the dot product of one kernel with the
-    corresponding (zero-padded) input window plus that kernel's bias.
+    corresponding (zero-padded) input window plus that kernel's bias; the
+    result is [N,oh,ow,C_out].
     """
-    xb, squeeze = _as_batch(x, "input")
-    _check_conv_operands(xb, kernels, geom)
+    _check_conv_operands(x, kernels, geom)
     if bias.shape != (kernels.shape[0],):
         raise ShapeError(f"bias axis {bias.shape} does not match C_out ({kernels.shape[0]})")
-    n, c_in = xb.shape[:2]
+    n, h, w, c_in = x.shape
     c_out, kh, kw = kernels.shape[0], geom.kernel_h, geom.kernel_w
-    oh, ow = geom.out_hw(xb.shape[2], xb.shape[3])
-    dtype = np.result_type(xb, kernels)
-    xp = _channels_last(xb, geom.padding, dtype)
+    oh, ow = geom.out_hw(h, w)
+    dtype = np.result_type(x, kernels)
+    xp = _padded(x, geom.padding, dtype)
     if c_in * kh * kw <= _PATCH_MAX_K:
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
         grid = (_patches(xp, geom, oh, ow) @ wmat.T).reshape(n, oh, ow, c_out)
     else:
         # stride-1 output over the whole padded grid, cropped to the valid
-        # (and strided) positions once at the end
+        # (and strided) positions by the bias add
         _, hp, wp, _ = xp.shape
         offsets = _tap_offsets(geom, wp)
         taps = kernels.transpose(2, 3, 1, 0).reshape(kh * kw, c_in, c_out)
@@ -164,31 +155,7 @@ def conv2d_forward(
         )
         s = geom.stride
         grid = full.reshape(n, hp, wp, c_out)[:, : s * oh : s, : s * ow : s]
-    out = np.empty((n, c_out, oh, ow), dtype=dtype)
-    np.add(grid.transpose(0, 3, 1, 2), bias[None, :, None, None], out=out)
-    return out[0] if squeeze else out
-
-
-def conv2d_forward_direct(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry
-) -> np.ndarray:
-    """Sliding-window reference convolution. Slow; kept as an oracle."""
-    xb, squeeze = _as_batch(x, "input")
-    _check_conv_operands(xb, kernels, geom)
-    oh, ow = geom.out_hw(xb.shape[2], xb.shape[3])
-    p = geom.padding
-    xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p))) if p else xb
-    n, c_out = xb.shape[0], kernels.shape[0]
-    out = np.zeros((n, c_out, oh, ow), dtype=xb.dtype)
-    for b in range(n):
-        for co in range(c_out):
-            for oy in range(oh):
-                for ox in range(ow):
-                    y0 = oy * geom.stride
-                    x0 = ox * geom.stride
-                    window = xp[b, :, y0 : y0 + geom.kernel_h, x0 : x0 + geom.kernel_w]
-                    out[b, co, oy, ox] = np.sum(window * kernels[co]) + bias[co]
-    return out[0] if squeeze else out
+    return np.add(grid, bias)
 
 
 def conv2d_backward(
@@ -197,36 +164,30 @@ def conv2d_backward(
     geom: ConvGeometry,
     grad_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a scalar loss through conv2d_forward.
+    """Gradients of a scalar loss through ``conv2d``.
 
-    Returns (grad_input, grad_kernels, grad_bias) for upstream ``grad_out``.
-    grad_kernels correlates the input windows with grad_out; grad_input
-    scatters kernel-weighted grad_out back onto the (padded) input.
+    Returns (grad_input, grad_kernels, grad_bias) for the [N,oh,ow,C_out]
+    upstream ``grad_out``. grad_kernels correlates the input windows with
+    grad_out; grad_input scatters kernel-weighted grad_out back onto the
+    (padded) input.
     """
-    xb, squeeze = _as_batch(x, "input")
-    gb_, gsqueeze = _as_batch(grad_out, "grad_out")
-    _check_conv_operands(xb, kernels, geom)
-    if squeeze != gsqueeze or xb.shape[0] != gb_.shape[0]:
-        raise ShapeError(
-            f"grad_out batch axis {grad_out.shape} does not match input {x.shape}"
-        )
-    n, c_in = xb.shape[:2]
+    _check_conv_operands(x, kernels, geom)
+    n, h, w, c_in = x.shape
     c_out, kh, kw = kernels.shape[0], geom.kernel_h, geom.kernel_w
-    oh, ow = geom.out_hw(xb.shape[2], xb.shape[3])
-    if gb_.shape != (n, c_out, oh, ow):
+    oh, ow = geom.out_hw(h, w)
+    if grad_out.shape != (n, oh, ow, c_out):
         raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match conv output "
-            f"{(n, c_out, oh, ow)}"
+            f"grad_out shape {grad_out.shape} does not match conv output {(n, oh, ow, c_out)}"
         )
 
-    dtype = np.result_type(xb, kernels, gb_)
-    xp = _channels_last(xb, geom.padding, dtype)
+    dtype = np.result_type(x, kernels, grad_out)
+    xp = _padded(x, geom.padding, dtype)
     _, hp, wp, _ = xp.shape
     s, p = geom.stride, geom.padding
-    grad_bias = gb_.sum(axis=(0, 2, 3))
+    grad_bias = grad_out.sum(axis=(0, 1, 2))
     if c_in * kh * kw <= _PATCH_MAX_K:
         cols = _patches(xp, geom, oh, ow)
-        g2 = gb_.transpose(0, 2, 3, 1).reshape(-1, c_out).astype(dtype, copy=False)
+        g2 = grad_out.reshape(-1, c_out).astype(dtype, copy=False)
         grad_kernels = (g2.T @ cols).reshape(kernels.shape)
         del cols
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
@@ -241,8 +202,7 @@ def conv2d_backward(
         offsets = _tap_offsets(geom, wp)
         margin = offsets[-1]
         gpad = np.zeros((margin + n * hp * wp, c_out), dtype=dtype)
-        grid = gpad[margin:].reshape(n, hp, wp, c_out)
-        grid[:, : s * oh : s, : s * ow : s] = gb_.transpose(0, 2, 3, 1)
+        gpad[margin:].reshape(n, hp, wp, c_out)[:, : s * oh : s, : s * ow : s] = grad_out
         rows = xp.reshape(-1, c_in)
         used = rows.shape[0] - margin
         g_used = gpad[margin : margin + used]
@@ -257,12 +217,7 @@ def conv2d_backward(
             gpad, np.ascontiguousarray(taps_t, dtype=dtype), [margin - o for o in offsets],
             gxp.reshape(-1, c_in),
         )
-    grad_input = np.empty(xb.shape, dtype=xb.dtype)
-    grad_input.transpose(0, 2, 3, 1)[...] = gxp[:, p : hp - p, p : wp - p]
-    if squeeze:
-        grad_input = grad_input[0]
-    grad_kernels = np.ascontiguousarray(grad_kernels, dtype=kernels.dtype)
-    return grad_input, grad_kernels, grad_bias
+    return gxp[:, p : hp - p, p : wp - p], grad_kernels, grad_bias
 
 
 @dataclass(frozen=True)
@@ -273,32 +228,27 @@ class PoolIndexMap:
     input_shape: tuple[int, ...]
 
 
-def _pool_corners(xb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four elements of every 2x2 window as strided views, in raster order."""
-    h2, w2 = xb.shape[2] // 2, xb.shape[3] // 2
+def _pool_corners(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four elements of every 2x2 window of a batch as strided views, in raster order."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
     if h2 < 1 or w2 < 1:
-        raise ShapeError(f"input spatial dims {xb.shape[2]}x{xb.shape[3]} too small for 2x2 pooling")
-    return tuple(
-        xb[:, :, dy : 2 * h2 : 2, dx : 2 * w2 : 2] for dy in (0, 1) for dx in (0, 1)
-    )
+        raise ShapeError(f"input spatial dims {x.shape[1]}x{x.shape[2]} too small for 2x2 pooling")
+    return tuple(x[:, dy : 2 * h2 : 2, dx : 2 * w2 : 2] for dy in (0, 1) for dx in (0, 1))
 
 
 def maxpool(x: np.ndarray) -> np.ndarray:
     """2x2/stride-2 max pooling without the argmax map (inference)."""
-    xb, squeeze = _as_batch(x, "input")
-    a, b, c, d = _pool_corners(xb)
-    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    return out[0] if squeeze else out
+    a, b, c, d = _pool_corners(x)
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))
 
 
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
+def maxpool_argmax(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
     """2x2/stride-2 max pooling; odd trailing rows/columns are dropped.
 
-    Returns the pooled tensor and the argmax map needed by the backward
+    Returns the pooled batch and the argmax map needed by the backward
     pass. Ties take the first element of the window in raster order.
     """
-    xb, squeeze = _as_batch(x, "input")
-    a, b, c, d = _pool_corners(xb)
+    a, b, c, d = _pool_corners(x)
     top, bottom = np.maximum(a, b), np.maximum(c, d)
     out = np.maximum(top, bottom)
     # strict comparisons keep the earlier element on ties: top row before
@@ -306,18 +256,38 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
     in_bottom = bottom > top
     winners = np.where(in_bottom, c < d, a < b).astype(np.uint8)
     winners += 2 * in_bottom.astype(np.uint8)
-    index_map = PoolIndexMap(winners=winners, input_shape=x.shape)
-    return (out[0] if squeeze else out), index_map
+    return out, PoolIndexMap(winners=winners, input_shape=x.shape)
 
 
 def maxpool_backward(index_map: PoolIndexMap, grad_out: np.ndarray) -> np.ndarray:
     """Route each upstream gradient to its recorded argmax position."""
     winners = index_map.winners
-    expected = winners.shape[1:] if len(index_map.input_shape) == 3 else winners.shape
-    if grad_out.shape != expected:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match pool map {expected}")
-    gb = grad_out.reshape(winners.shape)
+    if grad_out.shape != winners.shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match pool map {winners.shape}")
     grad_input = np.zeros(index_map.input_shape, dtype=grad_out.dtype)
-    for corner, view in enumerate(_pool_corners(_as_batch(grad_input, "input")[0])):
-        np.multiply(gb, winners == corner, out=view)
+    for corner, view in enumerate(_pool_corners(grad_input)):
+        np.multiply(grad_out, winners == corner, out=view)
     return grad_input
+
+
+def _nhwc_view(x: np.ndarray) -> np.ndarray:
+    """A [C,H,W] sample or an [N,C,H,W] batch as an [N,H,W,C] view."""
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"input must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
+    return x.reshape(-1, *x.shape[-3:]).transpose(0, 2, 3, 1)
+
+
+def conv2d_forward(
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry
+) -> np.ndarray:
+    """``conv2d`` on a [C,H,W] sample or an [N,C,H,W] batch, returned in its layout."""
+    out = conv2d(_nhwc_view(x), kernels, bias, geom).transpose(0, 3, 1, 2)
+    return out if x.ndim == 4 else out[0]
+
+
+def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
+    """``maxpool_argmax`` on a [C,H,W] sample or an [N,C,H,W] batch: the pooled result in
+    its layout, and the argmax map for ``maxpool_backward`` on [N,H,W,C] gradients."""
+    out, index_map = maxpool_argmax(_nhwc_view(x))
+    out = out.transpose(0, 3, 1, 2)
+    return (out if x.ndim == 4 else out[0]), index_map

@@ -1,11 +1,16 @@
-"""Write the golden model fixture used by TestGoldenModel in tests/test_models.py.
+"""Write the golden model fixtures used by TestGoldenModel in tests/test_models.py.
 
-The fixture pins inference across kernel rewrites: a tiny network whose
-second conv has 16 input channels (so it reaches the per-tap conv path)
-is built from a fixed seed and saved as ``golden_tiny.femo``; its class
-probabilities for four seeded inputs go to ``golden_tiny.npz``. The
-committed files were written by the im2col convolution that preceded the
-per-tap kernels. Run from the repository root:
+The fixtures pin inference and training across kernel rewrites: a tiny
+network whose second conv has 16 input channels (so it reaches the
+per-tap conv path) is built from a fixed seed and saved as
+``golden_tiny.femo``; its class probabilities for four seeded inputs go
+to ``golden_tiny.npz``, and the loss and every parameter gradient of one
+``loss_and_grad`` on those inputs and seeded targets go to
+``golden_tiny_grads.npz``. The committed ``.femo`` and probabilities were
+written by the im2col convolution that preceded the per-tap kernels, and
+the gradients by the NCHW per-tap kernels that preceded the channels-last
+layer stack; a run rewrites all three from the current kernels. Run from
+the repository root:
 
     PYTHONPATH=src python tests/data/make_golden.py
 """
@@ -34,9 +39,14 @@ SPECS = [
 def main():
     net = Network(SPECS, INPUT_SHAPE, 7).build(seed=11)
     save_model(net, str(HERE / "golden_tiny.femo"))
-    inputs = np.random.default_rng(2024).random((4, *INPUT_SHAPE), dtype=np.float32)
+    rng = np.random.default_rng(2024)
+    inputs = rng.random((4, *INPUT_SHAPE), dtype=np.float32)
     probs = net.forward(inputs, train=False)
     np.savez(HERE / "golden_tiny.npz", inputs=inputs, probs=probs)
+    targets = np.eye(7, dtype=np.float32)[rng.integers(0, 7, len(inputs))]
+    loss, _ = net.loss_and_grad(inputs, targets)
+    grads = {f"grad{i}": g for i, g in enumerate(net.gradients())}
+    np.savez(HERE / "golden_tiny_grads.npz", targets=targets, loss=loss, **grads)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fer_forge import layers as L
-from fer_forge.gradcheck import check_layer, fd_gradient, relative_error
+from fer_forge.gradcheck import check_layer_detailed, fd_gradient, relative_error
 from fer_forge.layers import (
     LayerSpec,
     cross_entropy_loss,
@@ -73,10 +73,10 @@ class TestDense:
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((2, 5))
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(3)
-        proj = rng.standard_normal(3)
+        proj = rng.standard_normal((2, 3))
 
         def loss():
             return float(np.sum(dense_forward(x, w, b) * proj))
@@ -106,12 +106,12 @@ class TestDropout:
         assert mask is None
 
     def test_expectation_preserved(self):
-        x = np.ones(10_000)
+        x = np.ones((1, 10_000))
         out, _ = dropout_forward(x, 0.5, True, 42)
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_survivors_scaled(self):
-        x = np.ones(1000)
+        x = np.ones((1, 1000))
         out, mask = dropout_forward(x, 0.25, True, 7)
         kept = out[out != 0]
         assert np.allclose(kept, 1.0 / 0.75)
@@ -121,22 +121,36 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout_forward(np.ones(3), 1.0, True, 0)
 
+    def test_image_batch_drops_the_units_of_a_channels_first_draw(self):
+        # the mask is drawn in [N,C,H,W] order: the same seed on the
+        # channels-last batch zeroes the units of that draw
+        x = np.random.default_rng(8).random((3, 2, 5, 4)) + 1.0  # [N,C,H,W], no zeros
+        keep = np.random.default_rng(9).random(x.shape) >= 0.4
+        out, mask = dropout_forward(x.transpose(0, 2, 3, 1), 0.4, True, 9)
+        assert out.shape == mask.shape == (3, 5, 4, 2) and out.flags.c_contiguous
+        assert np.array_equal(out.transpose(0, 3, 1, 2) != 0, keep)
+        assert np.array_equal(out.transpose(0, 3, 1, 2), x * (keep / 0.6))
+
 
 class TestFlatten:
+    """Channels-last batches flatten to rows in [C,H,W] order, the model file's order."""
+
     def test_architecture_length(self):
-        x = np.zeros((256, 7, 7))
-        assert flatten(x).shape == (12544,)
+        x = np.zeros((2, 7, 7, 256))
+        assert flatten(x).shape == (2, 12544)
 
     def test_degenerate(self):
-        assert flatten(np.ones((1, 1, 1))).shape == (1,)
+        assert flatten(np.ones((1, 1, 1, 1))).shape == (1, 1)
 
     def test_round_trip(self):
-        x = np.random.default_rng(4).random((3, 4, 5))
-        assert np.array_equal(flatten(x).reshape(3, 4, 5), x)
+        layer = L.Flatten()
+        x = np.random.default_rng(4).random((2, 4, 5, 3))
+        out = layer.forward(x, True, np.random.default_rng(0))
+        assert np.array_equal(layer.backward(out), x)
 
     def test_row_major_order(self):
-        x = np.arange(24).reshape(2, 3, 4)
-        assert np.array_equal(flatten(x), np.arange(24))
+        x = np.arange(24).reshape(1, 2, 3, 4)  # [C,H,W] order: arange of the NCHW batch
+        assert np.array_equal(flatten(x.transpose(0, 2, 3, 1)), np.arange(24).reshape(1, 24))
 
 
 class TestCrossEntropy:
@@ -204,24 +218,24 @@ class TestFusedSoftmaxXent:
 class TestAllLayerKindsFiniteDifferences:
     """The module's main test surface: every backward vs central differences."""
 
-    CASES = [
-        (LayerSpec("conv2d", {"filters": 4, "kernel_size": 3}), (2, 8, 8)),
-        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "padding": 1}), (2, 6, 6)),
-        (LayerSpec("maxpool2d"), (2, 6, 6)),
-        (LayerSpec("relu"), (2, 5, 5)),
+    CASES = [  # per-sample input shapes: (H,W,C) images, (D,) features
+        (LayerSpec("conv2d", {"filters": 4, "kernel_size": 3}), (8, 8, 2)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "padding": 1}), (6, 6, 2)),
+        (LayerSpec("maxpool2d"), (6, 6, 2)),
+        (LayerSpec("relu"), (5, 5, 2)),
         (LayerSpec("dense", {"units": 6}), (9,)),
         (LayerSpec("dense", {"units": 4, "l2_penalty": 0.001}), (7,)),
-        (LayerSpec("dropout", {"rate": 0.3}), (2, 5, 5)),
-        (LayerSpec("flatten"), (2, 3, 4)),
+        (LayerSpec("dropout", {"rate": 0.3}), (5, 5, 2)),
+        (LayerSpec("flatten"), (3, 4, 2)),
         (LayerSpec("softmax"), (7,)),
-        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "stride": 2, "padding": 1}), (9, 7, 7)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "stride": 2, "padding": 1}), (7, 7, 9)),
     ]
 
     @pytest.mark.parametrize(
         "spec,in_shape", CASES, ids=[f"{s.kind}-{i}" for i, (s, _) in enumerate(CASES)]
     )
     def test_backward_matches_fd(self, spec, in_shape):
-        err = check_layer(spec.materialize(), in_shape, seed=1234)
+        err, _ = check_layer_detailed(spec.materialize(), in_shape, seed=1234)
         assert err < 1e-5
 
     def test_l2_gradient_is_two_lambda_w(self):
@@ -245,28 +259,36 @@ class TestRetainedCaches:
         return layer
 
     def test_conv_keeps_only_its_input_when_training(self):
-        layer = self._built(LayerSpec("conv2d", {"filters": 8, "padding": 1}), (16, 6, 6))
-        x = np.random.default_rng(1).standard_normal((2, 16, 6, 6)).astype(np.float32)
+        layer = self._built(LayerSpec("conv2d", {"filters": 8, "padding": 1}), (6, 6, 16))
+        x = np.random.default_rng(1).standard_normal((2, 6, 6, 16)).astype(np.float32)
         layer.forward(x, True, np.random.default_rng(0))
         assert layer._cache is x
         layer.forward(x, False, np.random.default_rng(0))
         assert layer._cache is None
 
     def test_pool_keeps_one_byte_per_window_when_training(self):
-        layer = self._built(LayerSpec("maxpool2d"), (3, 6, 8))
-        x = np.random.default_rng(2).standard_normal((2, 3, 6, 8)).astype(np.float32)
+        layer = self._built(LayerSpec("maxpool2d"), (6, 8, 3))
+        x = np.random.default_rng(2).standard_normal((2, 6, 8, 3)).astype(np.float32)
         out = layer.forward(x, True, np.random.default_rng(0))
         assert layer._cache.winners.nbytes == out.size
         assert np.array_equal(layer.forward(x, False, np.random.default_rng(0)), out)
         assert layer._cache is None
 
-    KINDS = {  # every layer kind with an input shape it accepts
-        "conv2d": ({"filters": 4}, (2, 5, 5)),
-        "maxpool2d": ({}, (2, 4, 4)),
-        "relu": ({}, (2, 3, 3)),
+    def test_relu_keeps_its_output_not_its_input(self):
+        layer = self._built(LayerSpec("relu"), (4, 4, 3))
+        x = np.random.default_rng(4).standard_normal((2, 4, 4, 3)).astype(np.float32)
+        out = layer.forward(x, True, np.random.default_rng(0))
+        assert layer._cache is out
+        grad = np.random.default_rng(5).standard_normal(x.shape).astype(np.float32)
+        assert np.array_equal(layer.backward(grad), relu_backward(x, grad))
+
+    KINDS = {  # every layer kind with a per-sample input shape it accepts
+        "conv2d": ({"filters": 4}, (5, 5, 2)),
+        "maxpool2d": ({}, (4, 4, 2)),
+        "relu": ({}, (3, 3, 2)),
         "dense": ({"units": 5}, (6,)),
         "dropout": ({"rate": 0.5}, (6,)),
-        "flatten": ({}, (2, 3, 3)),
+        "flatten": ({}, (3, 3, 2)),
         "softmax": ({}, (6,)),
     }
 

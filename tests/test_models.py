@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import MALFORMED_ARCHS, write_arch_only
+from fer_forge.gradcheck import relative_error
 from fer_forge.layers import LayerSpec, ShapeError
 from fer_forge.models import (
     BadMagicError,
@@ -167,6 +169,12 @@ class TestPredict:
         with pytest.raises(ShapeError):
             net.predict(np.zeros((48, 48), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape", [(1, 48, 48), (2, 48, 48, 1)], ids=["unbatched", "nhwc"])
+    def test_forward_takes_only_nchw_batches(self, shape):
+        net = build_simple_cnn(seed=0)
+        with pytest.raises(ShapeError, match=re.escape(f"[N,1,48,48], got shape {shape}")):
+            net.forward(np.zeros(shape, dtype=np.float32))
+
     def test_fresh_networks_near_uniform(self):
         x = np.random.default_rng(5).random((1, 48, 48), dtype=np.float32)
         mean = np.zeros(7)
@@ -255,8 +263,9 @@ class TestPersistence:
 
 class TestGoldenModel:
     """A model file and probabilities written by the im2col kernels that preceded
-    the per-tap conv; its second conv has 16 input channels (per-tap path) and
-    its first has one (patch-matrix path). See tests/data/make_golden.py."""
+    the per-tap conv, and one step's gradients written by the NCHW per-tap
+    kernels; its second conv has 16 input channels (per-tap path) and its
+    first has one (patch-matrix path). See tests/data/make_golden.py."""
 
     def test_probabilities_match_batched_and_single(self):
         net = load_model(str(GOLDEN / "golden_tiny.femo"))
@@ -265,6 +274,17 @@ class TestGoldenModel:
         assert np.abs(batched - ref["probs"]).max() < 1e-5
         for x, probs in zip(ref["inputs"], ref["probs"]):
             assert np.abs(net.predict(x) - probs).max() < 1e-5
+
+    def test_one_training_step_matches_the_recorded_gradients(self):
+        net = load_model(str(GOLDEN / "golden_tiny.femo"))
+        inputs = np.load(GOLDEN / "golden_tiny.npz")["inputs"]
+        ref = np.load(GOLDEN / "golden_tiny_grads.npz")
+        loss, _ = net.loss_and_grad(inputs, ref["targets"])
+        assert abs(loss - ref["loss"]) <= 1e-5 * abs(ref["loss"])
+        grads = net.gradients()
+        assert len(grads) == len(ref.files) - 2
+        for i, grad in enumerate(grads):
+            assert relative_error(grad, ref[f"grad{i}"]) < 1e-5, f"gradient {i}"
 
     def test_resave_is_byte_identical(self, tmp_path):
         src = GOLDEN / "golden_tiny.femo"

@@ -56,17 +56,6 @@ class TestSGD:
         sgd_step(w, np.array([1.0]), OptimizerConfig("sgd", 0.1, decay=1.0), state)
         assert np.allclose(w, 0.95)  # lr_t = 0.1 / (1 + 1*1) = 0.05
 
-    def test_momentum_accumulates(self):
-        w = np.array([0.0])
-        cfg = OptimizerConfig("sgd", 0.1, momentum=0.9)
-        state = fresh_state(w)
-        state.t = 1
-        sgd_step(w, np.array([1.0]), cfg, state)
-        first = w.copy()
-        state.t = 2
-        sgd_step(w, np.array([1.0]), cfg, state)
-        assert abs(w[0] - first[0]) > abs(first[0])  # second step is larger
-
 
 class TestRMSProp:
     def test_zero_grad_decays_velocity(self):

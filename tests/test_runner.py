@@ -101,3 +101,16 @@ def test_registry_name_trains_its_build_function(tmp_path, dataset_csv, name):
     assert len(trained) == len(built)
     for a, b in zip(trained, built):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-2", "1.5"])
+def test_bad_thread_count_exits_2_before_any_work(tmp_path, dataset_csv, monkeypatch, capsys,
+                                                  value):
+    parsed = []
+    monkeypatch.setattr(D, "parse_fer_csv", parsed.append)
+    monkeypatch.setenv("FER_FORGE_THREADS", value)
+    code, out = two_cell_sweep(tmp_path, dataset_csv, "sweep")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: FER_FORGE_THREADS must be a positive integer, got {value!r}\n"
+    assert parsed == [] and not out.exists()

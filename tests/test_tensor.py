@@ -6,12 +6,14 @@ from fer_forge.gradcheck import fd_gradient, relative_error
 from fer_forge.tensor import (
     ConvGeometry,
     ShapeError,
+    conv2d,
     conv2d_backward,
     conv2d_forward,
-    conv2d_forward_direct,
+    maxpool_argmax,
     maxpool_backward,
     maxpool_forward,
 )
+from tensor_oracle import conv2d_forward_direct
 
 
 def conv_oracle(x, kernels, bias, stride=1, padding=0):
@@ -153,30 +155,31 @@ class TestConv2DForward:
 class TestConv2DBackward:
     def test_zero_grad_out_zeroes_everything(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 6, 6)).astype(np.float32)
+        x = rng.standard_normal((1, 6, 6, 2)).astype(np.float32)
         kernels = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        gx, gk, gb = conv2d_backward(x, kernels, ConvGeometry(3, 3), np.zeros((3, 4, 4), np.float32))
+        grad_out = np.zeros((1, 4, 4, 3), np.float32)
+        gx, gk, gb = conv2d_backward(x, kernels, ConvGeometry(3, 3), grad_out)
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_1x1_kernel_grad_is_input_weighted_sum(self):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((1, 4, 4))
+        x = rng.standard_normal((1, 4, 4, 1))
         kernels = rng.standard_normal((1, 1, 1, 1))
-        grad_out = rng.standard_normal((1, 4, 4))
+        grad_out = rng.standard_normal((1, 4, 4, 1))
         _, gk, gb = conv2d_backward(x, kernels, ConvGeometry(1, 1), grad_out)
         assert np.isclose(gk[0, 0, 0, 0], np.sum(x * grad_out))
         assert np.isclose(gb[0], grad_out.sum())
 
     def test_finite_differences_random_instance(self):
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((1, 6, 6))
+        x = rng.standard_normal((1, 6, 6, 1))
         kernels = rng.standard_normal((2, 1, 3, 3))
         bias = rng.standard_normal(2)
-        proj = rng.standard_normal((2, 4, 4))
+        proj = rng.standard_normal((1, 4, 4, 2))
         geom = ConvGeometry(3, 3)
 
         def loss():
-            return float(np.sum(conv2d_forward(x, kernels, bias, geom) * proj))
+            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
 
         gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
@@ -185,25 +188,48 @@ class TestConv2DBackward:
 
     def test_finite_differences_with_padding_stride(self):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 7, 7))
+        x = rng.standard_normal((1, 7, 7, 2))
         kernels = rng.standard_normal((2, 2, 3, 3))
         bias = rng.standard_normal(2)
         geom = ConvGeometry(3, 3, stride=2, padding=1)
-        out_shape = conv2d_forward(x, kernels, bias, geom).shape
+        out_shape = conv2d(x, kernels, bias, geom).shape
         proj = rng.standard_normal(out_shape)
 
         def loss():
-            return float(np.sum(conv2d_forward(x, kernels, bias, geom) * proj))
+            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
 
         gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
         assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
 
     def test_grad_out_shape_mismatch_rejected(self):
-        x = np.zeros((1, 6, 6), dtype=np.float32)
+        x = np.zeros((1, 6, 6, 1), dtype=np.float32)
         kernels = np.zeros((1, 1, 3, 3), dtype=np.float32)
-        with pytest.raises(ShapeError):
-            conv2d_backward(x, kernels, ConvGeometry(3, 3), np.zeros((1, 3, 3), np.float32))
+        with pytest.raises(ShapeError, match="grad_out"):
+            conv2d_backward(x, kernels, ConvGeometry(3, 3), np.zeros((1, 3, 3, 1), np.float32))
+
+
+class TestConvChannelsLast:
+    """``conv2d`` itself: [N,H,W,C] in, [N,oh,ow,C_out] out, against the NCHW oracle."""
+
+    @pytest.mark.parametrize("c_in,stride,padding", [(1, 1, 0), (2, 2, 1), (8, 1, 0), (9, 2, 1)])
+    def test_matches_direct_through_a_transpose(self, c_in, stride, padding):
+        rng = np.random.default_rng(50 + c_in)
+        x = rng.standard_normal((2, 8, 7, c_in)).astype(np.float32)
+        kernels = rng.standard_normal((4, c_in, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(4).astype(np.float32)
+        geom = ConvGeometry(3, 3, stride, padding)
+        out = conv2d(x, kernels, bias, geom)
+        direct = conv2d_forward_direct(x.transpose(0, 3, 1, 2), kernels, bias, geom)
+        assert out.flags.c_contiguous and out.dtype == np.float32
+        scale = max(1.0, float(np.abs(direct).max()))
+        assert np.abs(out - direct.transpose(0, 2, 3, 1)).max() < 1e-6 * scale
+
+    def test_unbatched_input_rejected(self):
+        kernels = np.zeros((1, 2, 3, 3), dtype=np.float32)
+        with pytest.raises(ShapeError, match=r"\[N,H,W,C\]"):
+            conv2d(np.zeros((5, 5, 2), np.float32), kernels, np.zeros(1, np.float32),
+                   ConvGeometry(3, 3))
 
 
 class TestConvTapPath:
@@ -227,14 +253,14 @@ class TestConvTapPath:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
     def test_finite_differences_batch(self, stride, padding):
         rng = np.random.default_rng(30 + stride + padding)
-        x = rng.standard_normal((2, 10, 7, 6))
+        x = rng.standard_normal((2, 7, 6, 10))
         kernels = rng.standard_normal((3, 10, 3, 3))
         bias = rng.standard_normal(3)
         geom = ConvGeometry(3, 3, stride, padding)
-        proj = rng.standard_normal(conv2d_forward(x, kernels, bias, geom).shape)
+        proj = rng.standard_normal(conv2d(x, kernels, bias, geom).shape)
 
         def loss():
-            return float(np.sum(conv2d_forward(x, kernels, bias, geom) * proj))
+            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
 
         gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
         assert gx.dtype == gk.dtype == np.float64
@@ -244,9 +270,9 @@ class TestConvTapPath:
 
     def test_float32_backward_matches_float64(self):
         rng = np.random.default_rng(40)
-        x = rng.standard_normal((4, 32, 10, 10))
+        x = rng.standard_normal((4, 10, 10, 32))
         kernels = rng.standard_normal((16, 32, 3, 3))
-        grad_out = rng.standard_normal((4, 16, 10, 10))
+        grad_out = rng.standard_normal((4, 10, 10, 16))
         geom = ConvGeometry(3, 3, padding=1)
         exact = conv2d_backward(x, kernels, geom, grad_out)
         single = conv2d_backward(
@@ -282,53 +308,60 @@ class TestMaxPool:
         assert np.array_equal(out, pool_oracle(x[:, :4, :6]))
 
     def test_backward_routes_to_argmax(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        _, index_map = maxpool_forward(x)
-        grad = maxpool_backward(index_map, np.array([[[5.0]]]))
-        assert np.array_equal(grad, [[[0.0, 0.0], [0.0, 5.0]]])
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
+        _, index_map = maxpool_argmax(x)
+        grad = maxpool_backward(index_map, np.full((1, 1, 1, 1), 5.0))
+        assert np.array_equal(grad[..., 0], [[[0.0, 0.0], [0.0, 5.0]]])
 
     def test_backward_zero_grad(self):
         rng = np.random.default_rng(13)
-        _, index_map = maxpool_forward(rng.standard_normal((2, 6, 6)))
-        grad = maxpool_backward(index_map, np.zeros((2, 3, 3)))
+        _, index_map = maxpool_argmax(rng.standard_normal((1, 6, 6, 2)))
+        grad = maxpool_backward(index_map, np.zeros((1, 3, 3, 2)))
         assert not grad.any()
 
     def test_finite_differences(self):
-        x = np.random.default_rng(14).standard_normal((1, 6, 6))
+        x = np.random.default_rng(14).standard_normal((1, 6, 6, 1))
 
         def loss():
-            return float(maxpool_forward(x)[0].sum())
+            return float(maxpool_argmax(x)[0].sum())
 
-        _, index_map = maxpool_forward(x)
-        analytic = maxpool_backward(index_map, np.ones((1, 3, 3)))
+        _, index_map = maxpool_argmax(x)
+        analytic = maxpool_backward(index_map, np.ones((1, 3, 3, 1)))
         assert relative_error(analytic, fd_gradient(loss, x)) < 1e-6
 
     def test_ties_route_to_first_in_raster_order(self):
         # relu zeros tie whole windows; the earliest element takes the gradient
-        x = np.maximum(np.array([[[-1.0, -2.0, 0.0, 3.0], [0.0, -4.0, 3.0, 1.0]]]), 0)
-        out, index_map = maxpool_forward(x)
-        assert np.array_equal(out, [[[0.0, 3.0]]])
-        grad = maxpool_backward(index_map, np.array([[[2.0, 5.0]]]))
-        assert np.array_equal(grad, [[[2.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]])
+        x = np.maximum(np.array([[-1.0, -2.0, 0.0, 3.0], [0.0, -4.0, 3.0, 1.0]]), 0)
+        out, index_map = maxpool_argmax(x.reshape(1, 2, 4, 1))
+        assert np.array_equal(out[..., 0], [[[0.0, 3.0]]])
+        grad = maxpool_backward(index_map, np.array([2.0, 5.0]).reshape(1, 1, 2, 1))
+        assert np.array_equal(grad[..., 0], [[[2.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]])
 
     def test_ties_in_batch_match_loop_argmax(self):
         rng = np.random.default_rng(17)
-        x = np.maximum(rng.integers(-2, 3, (3, 2, 6, 7)).astype(np.float32), 0)
-        out, index_map = maxpool_forward(x)
+        x = np.maximum(rng.integers(-2, 3, (3, 6, 7, 2)).astype(np.float32), 0)
+        out, index_map = maxpool_argmax(x)
         grad = maxpool_backward(index_map, np.ones_like(out))
         expected = np.zeros_like(x)
-        for b, c, oy, ox in np.ndindex(out.shape):
-            window = x[b, c, 2 * oy : 2 * oy + 2, 2 * ox : 2 * ox + 2].ravel()
+        for b, oy, ox, c in np.ndindex(out.shape):
+            window = x[b, 2 * oy : 2 * oy + 2, 2 * ox : 2 * ox + 2, c].ravel()
             k = int(np.argmax(window))  # first maximum in raster order
-            expected[b, c, 2 * oy + k // 2, 2 * ox + k % 2] = 1.0
+            expected[b, 2 * oy + k // 2, 2 * ox + k % 2, c] = 1.0
         assert np.array_equal(grad, expected)
 
     def test_ones_grad_sums_to_window_count(self):
         rng = np.random.default_rng(15)
-        x = rng.standard_normal((3, 8, 10))
-        out, index_map = maxpool_forward(x)
+        x = rng.standard_normal((1, 8, 10, 3))
+        out, index_map = maxpool_argmax(x)
         grad = maxpool_backward(index_map, np.ones_like(out))
         assert grad.sum() == out.size
+
+    def test_nchw_entry_is_the_channels_last_kernel_transposed(self):
+        x = np.random.default_rng(18).standard_normal((2, 3, 6, 8)).astype(np.float32)
+        out, index_map = maxpool_forward(x)
+        nhwc_out, nhwc_map = maxpool_argmax(x.transpose(0, 2, 3, 1))
+        assert np.array_equal(out, nhwc_out.transpose(0, 3, 1, 2))
+        assert np.array_equal(index_map.winners, nhwc_map.winners)
 
 
 class TestMatmul:
