@@ -138,7 +138,7 @@ def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
     train_ds, test_ds = split
     os.makedirs(out, exist_ok=True)
     if cell["model"] == "tree":
-        root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig(seed=seed))
+        root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig())
         tr.save_tree(root, os.path.join(out, "tree.txt"))
         preds = [tr.predict_tree(root, image) for image in test_ds.images]
         return T.accuracy(preds, test_ds.labels)

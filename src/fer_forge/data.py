@@ -111,6 +111,8 @@ def _parse_rows(reader) -> list[FerRecord]:
             pixels = np.array(pixel_s.split(), dtype=np.int32)
         except ValueError:
             raise DataFormatError(f"row {row_num}: non-integer pixel value") from None
+        except OverflowError:
+            raise DataFormatError(f"row {row_num}: pixel value outside 0..255") from None
         if pixels.size != PIXELS_PER_IMAGE:
             raise DataFormatError(
                 f"row {row_num}: {pixels.size} pixel values, expected {PIXELS_PER_IMAGE}"

@@ -5,6 +5,16 @@ the midpoints of consecutive distinct sorted feature values, scanned in
 (feature_index, threshold) order with first-best-wins tie breaking, so a
 fit is fully deterministic for a given dataset.
 
+The split search uses presorted attribute lists (SLIQ: Mehta, Agrawal and
+Rissanen, EDBT 1996), vectorised over features. Each feature is sorted
+once per fit into one [features, rows] row-order matrix; a node owns a
+column range of it, and a split stably partitions that range into the
+left rows, then the right rows. At a node, exact integer prefix sums
+score every cut of a block of features at once; only the cuts within a
+rounding margin of the best are scored again with the float Gini formula
+of a per-feature scan, whose tie rules then pick the split. So the tree
+is the one the per-feature scan grows (kept in ``tests/tree_oracle.py``).
+
 Trees serialize to a depth-first text format, one node per line:
 
     I <feature_index> <threshold>
@@ -16,15 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NUM_CLASSES
-from .seeding import derive_seed
+
+# elements of one [features, rows] block of the split search; sizes the work buffers
+_BLOCK = 1 << 16
+# cuts whose score is within n * _MARGIN of the best get the float formula
+_MARGIN = 1e-9
+_ONEHOT = np.eye(NUM_CLASSES, dtype=np.int64)
 
 
 @dataclass
 class TreeConfig:
     min_samples_split: int = 40
-    max_depth: int | None = None
-    feature_subsample: int | None = None  # per-node cap; None scans all 2304 features
-    seed: int = 0
 
     def __post_init__(self):
         if self.min_samples_split < 2:
@@ -63,38 +75,6 @@ def _make_leaf(node: TreeNode, counts: np.ndarray):
     node.predicted_class = int(np.argmax(counts))  # argmax breaks ties toward index 0
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, features: np.ndarray):
-    """Best (gain, feature, threshold) over candidate midpoints, or None."""
-    n = x.shape[0]
-    parent_counts = np.bincount(y, minlength=NUM_CLASSES)
-    parent_gini = gini(parent_counts)
-    best = None
-    onehot = np.zeros((n, NUM_CLASSES), dtype=np.int64)
-    onehot[np.arange(n), y] = 1
-    for f in features:
-        values = x[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        # cumulative class counts for the first i samples, i = 1..n-1
-        cum = np.cumsum(onehot[order], axis=0)[:-1]
-        cut = np.nonzero(sv[:-1] != sv[1:])[0]
-        if cut.size == 0:
-            continue
-        left = cum[cut].astype(np.float64)
-        right = parent_counts[None, :] - left
-        nl = left.sum(axis=1)
-        nr = n - nl
-        gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
-        weighted = (nl * gini_l + nr * gini_r) / n
-        k = int(np.argmin(weighted))  # first minimum = lowest threshold
-        gain = parent_gini - weighted[k]
-        if gain > 0 and (best is None or gain > best[0]):
-            threshold = float((sv[cut[k]] + sv[cut[k] + 1]) / 2.0)
-            best = (gain, int(f), threshold)
-    return best
-
-
 def _pixel_units(values) -> np.ndarray:
     """Features as float64 pixel values (0..255), decided by dtype alone.
 
@@ -107,6 +87,176 @@ def _pixel_units(values) -> np.ndarray:
     return pixels * 255.0 if x.dtype == np.float32 else pixels
 
 
+def _blocks(n_features: int, n_rows: int):
+    """Feature ranges [a, b) of at most max(_BLOCK, n_rows) elements each."""
+    step = max(1, _BLOCK // n_rows)
+    for a in range(0, n_features, step):
+        yield a, min(a + step, n_features)
+
+
+def _lowest_gini(values: np.ndarray, labels: np.ndarray, parent_counts: np.ndarray):
+    """(weighted Gini, sorted position left of the cut) of the first best cut of
+    one feature, with the float operations of the per-feature scan.
+
+    ``values`` are the node's sorted pixel values, ``labels`` their classes.
+    """
+    n = values.shape[0]
+    cum = np.cumsum(_ONEHOT[labels], axis=0)[:-1]
+    cut = np.nonzero(values[:-1] != values[1:])[0]
+    left = cum[cut].astype(np.float64)
+    right = parent_counts[None, :] - left
+    nl = left.sum(axis=1)
+    nr = n - nl
+    gini_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
+    gini_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+    weighted = (nl * gini_l + nr * gini_r) / n
+    k = int(np.argmin(weighted))  # first minimum = lowest threshold
+    return weighted[k], int(cut[k])
+
+
+class _SplitSearch:
+    """The presorted attribute lists of one fit and the work buffers of its nodes.
+
+    ``order[f, lo:hi]`` holds the rows of the node that owns ``[lo, hi)``
+    sorted by feature ``f``, ties in row order, as a stable sort of the
+    node's rows gives. ``codes[f, r]`` is the dense rank of row ``r``'s
+    value among the distinct values of feature ``f``, so two rows hold the
+    same value exactly when their codes are equal.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n, n_features = x.shape
+        self.x, self.y = x, y
+        self.order = np.empty((n_features, n), np.int16 if n < 1 << 15 else np.int32)
+        self.codes = np.empty((n_features, n), np.uint8)
+        for a, b in _blocks(n_features, n):
+            values = np.ascontiguousarray(_pixel_units(x[:, a:b]).T)
+            order = np.argsort(values, axis=1, kind="stable")
+            ordered = np.take_along_axis(values, order, axis=1)
+            ranks = np.zeros(order.shape, np.int64)
+            np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
+            levels = int(ranks[:, -1].max()) + 1
+            if levels > np.iinfo(self.codes.dtype).max + 1:
+                self.codes = self.codes.astype(np.uint16 if levels <= 1 << 16 else np.uint32)
+            np.put_along_axis(self.codes[a:b], order, ranks, axis=1)
+            self.order[a:b] = order
+        # flat offset of each feature's row in ``order`` and ``codes``
+        self._offsets = (np.arange(n_features, dtype=np.intp) * n)[:, None]
+        size = max(_BLOCK, n)
+        self._ints = [np.empty(size, np.intp) for _ in range(4)]
+        self._rows = np.empty(size, self.order.dtype)
+        self._codes = np.empty(size, self.codes.dtype)
+        self._flags = np.empty(size, bool)
+        self._scores = np.empty(size, np.float64)
+        self._feature_best = np.empty(n_features, np.float64)
+        self._goes_left = np.zeros(n, bool)
+
+    @staticmethod
+    def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+        return buffer[: shape[0] * shape[1]].reshape(shape)
+
+    def _score_block(self, a: int, b: int, lo: int, hi: int, counts: np.ndarray):
+        """Best cut score of each feature in [a, b), into ``_feature_best[a:b]``.
+
+        With L and R the class counts left and right of a cut after nl of
+        the node's n sorted rows, its weighted Gini is 1 - s/n for
+        s = sum(L^2)/nl + sum(R^2)/nr. The score is s, from exact integers:
+        sum(L^2) is the prefix sum of 2c-1, where c counts the row's class
+        among the rows so far, itself included; and for the node's class
+        counts P, sum(R^2) = sum(P^2) - 2*X + sum(L^2), with X the prefix
+        sum of P[class]. So s*nl*nr = 2n*C + nl*(sum(P^2) - n - 2*X) for C
+        the prefix sum of c. A cut between equal values scores -inf.
+        """
+        n = hi - lo
+        shape = (b - a, n)
+        view = self._view
+        index, labels, work, prefix = (view(buffer, shape) for buffer in self._ints)
+        codes = view(self._codes, shape)
+        np.copyto(index, self.order[a:b, lo:hi])
+        np.take(self.y, index, out=labels, mode="clip")
+        np.add(index, self._offsets[a:b], out=index)
+        np.take(self.codes, index, out=codes, mode="clip")
+        # c of every row, into ``index``: a prefix sum of one-hot classes packed
+        # into bit lanes of an int64, one lane per class present, each wide
+        # enough to count n rows; classes that do not fit share a next word
+        bits = n.bit_length()
+        present = np.flatnonzero(counts)
+        per_word = 63 // bits
+        for start in range(0, present.size, per_word):
+            lanes = present[start:start + per_word]
+            shift = np.full(NUM_CLASSES, 63, np.int64)  # other classes read the zero sign bit
+            shift[lanes] = bits * np.arange(lanes.size)
+            one = np.zeros(NUM_CLASSES, np.int64)
+            one[lanes] = np.left_shift(1, shift[lanes])
+            np.take(one, labels, out=work, mode="clip")
+            np.cumsum(work, axis=1, out=prefix)
+            np.take(shift, labels, out=work, mode="clip")
+            np.right_shift(prefix, work, out=prefix)
+            if start == 0:
+                np.bitwise_and(prefix, (1 << bits) - 1, out=index)
+            else:
+                np.bitwise_and(prefix, (1 << bits) - 1, out=prefix)
+                np.add(index, prefix, out=index)
+        np.cumsum(index, axis=1, out=prefix)
+        np.take(counts, labels, out=work, mode="clip")
+        np.cumsum(work, axis=1, out=index)
+        nl = np.arange(1, n, dtype=np.int64)
+        num, cross = prefix[:, :-1], index[:, :-1]
+        np.multiply(cross, -2 * nl, out=cross)
+        np.multiply(num, 2 * n, out=num)
+        np.add(num, cross, out=num)
+        np.add(num, nl * (int(counts @ counts) - n), out=num)
+        scores = view(self._scores, (b - a, n - 1))
+        np.divide(num, (nl * (n - nl)).astype(np.float64), out=scores)
+        no_cut = view(self._flags, (b - a, n - 1))
+        np.equal(codes[:, 1:], codes[:, :-1], out=no_cut)
+        np.copyto(scores, -np.inf, where=no_cut)
+        np.max(scores, axis=1, out=self._feature_best[a:b])
+
+    def best_split(self, lo: int, hi: int, counts: np.ndarray):
+        """Best (gain, feature, threshold) of the node owning [lo, hi), or None."""
+        n = hi - lo
+        for a, b in _blocks(self.order.shape[0], n):
+            self._score_block(a, b, lo, hi, counts)
+        top = self._feature_best.max()
+        if top == -np.inf:
+            return None
+        parent_gini = gini(counts)
+        best = None
+        for f in np.flatnonzero(self._feature_best >= top - n * _MARGIN):
+            rows = self.order[f, lo:hi]
+            values = _pixel_units(self.x[rows, f])
+            weighted, k = _lowest_gini(values, self.y[rows], counts)
+            gain = parent_gini - weighted
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, int(f), float((values[k] + values[k + 1]) / 2.0))
+        return best
+
+    def partition(self, lo: int, hi: int, feature: int, threshold: float) -> int:
+        """Stably move the node's rows with ``value <= threshold`` ahead of the
+        others in every feature's order; returns how many rows went left."""
+        rows = self.order[feature, lo:hi]
+        goes_left = _pixel_units(self.x[rows, feature]) <= threshold
+        self._goes_left[rows] = goes_left
+        n, n_left = hi - lo, int(np.count_nonzero(goes_left))
+        # a right row at position j, after `seen` left rows so far, lands at lo + n_left + j - seen
+        right_base = np.arange(lo + n_left, hi + n_left, dtype=np.intp)
+        for a, b in _blocks(self.order.shape[0], n):
+            shape = (b - a, n)
+            rows = self._view(self._rows, shape)
+            index, seen, dest = (self._view(buffer, shape) for buffer in self._ints[:3])
+            left = self._view(self._flags, shape)
+            np.copyto(rows, self.order[a:b, lo:hi])
+            np.copyto(index, rows)
+            np.take(self._goes_left, index, out=left, mode="clip")
+            np.cumsum(left, axis=1, out=seen)
+            np.subtract(right_base, seen, out=dest)
+            np.add(seen, lo - 1, out=dest, where=left)
+            np.add(dest, self._offsets[a:b], out=dest)
+            self.order.put(dest, rows, mode="clip")
+        return n_left
+
+
 def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = None) -> TreeNode:
     """Grow a tree on flattened pixel features, thresholds in pixel units.
 
@@ -114,7 +264,7 @@ def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = No
     matrix; see ``_pixel_units`` for how the dtype sets the units.
     """
     cfg = cfg or TreeConfig()
-    x = _pixel_units(images)
+    x = np.asarray(images)
     if x.ndim > 2:
         x = x.reshape(x.shape[0], -1)
     y = np.asarray(labels, dtype=np.int64)
@@ -122,83 +272,100 @@ def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = No
         raise ValueError("cannot fit a tree on an empty dataset")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} samples but {y.shape[0]} labels")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"cannot fit a tree on features of shape {x.shape[1:]}")
+    if y.min() < 0 or y.max() >= NUM_CLASSES:
+        raise ValueError(f"labels must lie in 0..{NUM_CLASSES - 1}")
 
-    n_features = x.shape[1]
+    search = _SplitSearch(x, y)
     root = TreeNode()
-    stack = [(root, np.arange(x.shape[0]), 0)]
+    stack = [(root, 0, x.shape[0])]
     while stack:
-        node, idx, depth = stack.pop()
-        counts = np.bincount(y[idx], minlength=NUM_CLASSES)
-        at_limit = cfg.max_depth is not None and depth >= cfg.max_depth
-        if idx.size < cfg.min_samples_split or counts.max() == idx.size or at_limit:
+        node, lo, hi = stack.pop()
+        counts = np.bincount(y[search.order[0, lo:hi]], minlength=NUM_CLASSES)
+        if hi - lo < cfg.min_samples_split or counts.max() == hi - lo:
             _make_leaf(node, counts)
             continue
-        if cfg.feature_subsample and cfg.feature_subsample < n_features:
-            rng = np.random.default_rng(derive_seed(cfg.seed, "features", depth, int(idx[0])))
-            features = np.sort(rng.choice(n_features, cfg.feature_subsample, replace=False))
-        else:
-            features = np.arange(n_features)
-        best = _best_split(x[idx], y[idx], features)
+        best = search.best_split(lo, hi, counts)
         if best is None:
             _make_leaf(node, counts)
             continue
         _, node.feature_index, node.threshold = best
-        mask = x[idx, node.feature_index] <= node.threshold
+        mid = lo + search.partition(lo, hi, node.feature_index, node.threshold)
         node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
+        stack.append((node.right, mid, hi))
+        stack.append((node.left, lo, mid))
     return root
 
 
 def predict_tree(root: TreeNode, image: np.ndarray) -> int:
-    """Walk feature <= threshold questions down to a leaf's class."""
-    x = _pixel_units(image).reshape(-1)
+    """Walk feature <= threshold questions down to a leaf's class.
+
+    Only the visited pixels are read, in the units of ``_pixel_units``.
+    """
+    x = np.asarray(image).reshape(-1)
+    scale = 255.0 if x.dtype == np.float32 else 1.0
     node = root
     while not node.is_leaf:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
+        node = node.left if float(x[node.feature_index]) * scale <= node.threshold else node.right
     return node.predicted_class
 
 
 def tree_to_lines(root: TreeNode) -> list[str]:
-    lines = []
-
-    def visit(node):
+    lines, stack = [], [root]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             counts = " ".join(str(int(c)) for c in node.class_counts)
             lines.append(f"L {node.predicted_class} {counts}")
         else:
             lines.append(f"I {node.feature_index} {node.threshold!r}")
-            visit(node.left)
-            visit(node.right)
-
-    visit(root)
+            stack += [node.right, node.left]
     return lines
 
 
+def _read_node(node: TreeNode, parts: list[str]) -> bool:
+    """Fill ``node`` from one line's fields; True for an internal node."""
+    tag = parts[0] if parts else ""
+    if tag == "I":
+        if len(parts) != 3:
+            raise ValueError(f"internal node line has {len(parts)} fields, expected 3")
+        node.feature_index, node.threshold = int(parts[1]), float(parts[2])
+        if node.feature_index < 0:
+            raise ValueError(f"negative feature index {node.feature_index}")
+        return True
+    if tag == "L":
+        if len(parts) != 2 + NUM_CLASSES:
+            raise ValueError(
+                f"leaf line carries {max(len(parts) - 2, 0)} counts, expected {NUM_CLASSES}")
+        node.predicted_class = int(parts[1])
+        node.class_counts = np.array([int(c) for c in parts[2:]], dtype=np.int64)
+        return False
+    raise ValueError(f"unknown node tag {tag!r}")
+
+
 def tree_from_lines(lines: list[str]) -> TreeNode:
-    it = iter(lines)
+    """Rebuild a tree from its depth-first lines, skipping blank ones.
 
-    def parse():
-        parts = next(it).split()
-        if parts[0] == "I":
-            node = TreeNode(feature_index=int(parts[1]), threshold=float(parts[2]))
-            node.left = parse()
-            node.right = parse()
-            return node
-        if parts[0] == "L":
-            counts = np.array([int(c) for c in parts[2:]], dtype=np.int64)
-            if counts.size != NUM_CLASSES:
-                raise ValueError(f"leaf line carries {counts.size} counts, expected {NUM_CLASSES}")
-            return TreeNode(class_counts=counts, predicted_class=int(parts[1]))
-        raise ValueError(f"unknown node tag {parts[0]!r}")
-
-    try:
-        root = parse()
-    except StopIteration:
-        raise ValueError("tree file ended mid-node") from None
-    remainder = list(it)
-    if remainder:
-        raise ValueError(f"{len(remainder)} trailing lines after tree")
+    A malformed tree raises ValueError naming its 1-based line number.
+    """
+    root = TreeNode()
+    pending = [root]  # nodes still to read, the next one last
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if not pending:
+            raise ValueError(f"line {number}: trailing line after the tree")
+        node = pending.pop()
+        try:
+            internal = _read_node(node, line.split())
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        if internal:
+            node.left, node.right = TreeNode(), TreeNode()
+            pending += [node.right, node.left]
+    if pending:
+        raise ValueError(f"tree file ended mid-node after line {len(lines)}")
     return root
 
 
@@ -209,5 +376,4 @@ def save_tree(root: TreeNode, path: str):
 
 def load_tree(path: str) -> TreeNode:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    return tree_from_lines(lines)
+        return tree_from_lines(fh.read().splitlines())

@@ -84,6 +84,14 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_overflowing_pixel_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(make_fer_csv(random_rows(4, seed=0))
+                       + "1," + "0 " * 2303 + "99999999999,Training\n")
+        code = run("train", "--model", "tree", "--data", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "row 6" in capsys.readouterr().err
+
     def test_manifest_settings_and_flag_override(self, tmp_path, dataset_csv):
         manifest = tmp_path / "run.manifest"
         manifest.write_text(

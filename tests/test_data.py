@@ -51,6 +51,11 @@ class TestParse:
         with pytest.raises(DataFormatError, match="0..255"):
             parse_text(make_fer_csv(rows))
 
+    def test_pixel_overflowing_int32_names_row(self):
+        text = make_fer_csv([(0, [0] * 2304, "Training")]) + "1," + "0 " * 2303 + "99999999999,Training\n"
+        with pytest.raises(DataFormatError, match="row 3: pixel value outside 0..255"):
+            parse_text(text)
+
     def test_emotion_out_of_range(self):
         rows = [(7, [0] * 2304, "Training")]
         with pytest.raises(DataFormatError, match="emotion"):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tree_oracle
 from fer_forge.tree import (
     TreeConfig,
     TreeNode,
+    _pixel_units,
     fit_tree,
     gini,
     load_tree,
@@ -102,17 +106,6 @@ class TestFit:
         preds = [predict_tree(root, x[i]) for i in range(len(y))]
         assert np.array_equal(preds, y)
 
-    def test_max_depth_caps_growth(self):
-        x, y = random_set(60, seed=3)
-        root = fit_tree(x, y, TreeConfig(min_samples_split=2, max_depth=2))
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(root) <= 2
-
     def test_each_split_strictly_reduces_weighted_gini(self):
         x, y = random_set(50, seed=4)
         root = fit_tree(x, y, TreeConfig(min_samples_split=2))
@@ -140,13 +133,6 @@ class TestFit:
         b = tree_to_lines(fit_tree(x, y, TreeConfig(min_samples_split=4)))
         assert a == b
 
-    def test_feature_subsample_deterministic(self):
-        x, y = random_set(30, n_features=64, seed=6)
-        cfg = TreeConfig(min_samples_split=4, feature_subsample=8, seed=9)
-        a = tree_to_lines(fit_tree(x, y, cfg))
-        b = tree_to_lines(fit_tree(x, y, cfg))
-        assert a == b
-
     def test_normalized_images_rescaled_to_pixel_units(self):
         rng = np.random.default_rng(7)
         images = rng.random((10, 1, 6, 6)).astype(np.float32)
@@ -163,11 +149,88 @@ class TestFit:
         assert max(ts) > 1.0  # pixel units, not normalized units
 
 
+@st.composite
+def fit_inputs(draw):
+    """(features, labels, min_samples_split): integer float64 [N,F], float32
+    [N,1,h,w] images or uint8, with few levels (heavy ties), constant columns
+    and single rows among them."""
+    n = draw(st.integers(1, 60))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.integers(0, levels, size=(n, h * w))
+    if draw(st.booleans()):
+        raw[:, rng.integers(0, h * w)] = rng.integers(0, levels)  # a constant column
+    kind = draw(st.sampled_from(["float64", "float32", "uint8"]))
+    if kind == "float64":
+        x = raw.astype(np.float64)
+    elif kind == "float32":
+        x = (raw / 255.0).astype(np.float32).reshape(n, 1, h, w)
+    else:
+        x = raw.astype(np.uint8)
+    labels = rng.integers(0, draw(st.integers(1, 7)), size=n)
+    return x, labels, draw(st.integers(2, 40))
+
+
+def fer_like_images(n, seed):
+    """float32 [n,1,48,48] images: 0..109 noise, each class lifting its own six
+    6x6 blocks by 30 levels, every class equally often."""
+    layout = np.random.default_rng(0)
+    templates = np.zeros((7, 48, 48), dtype=np.uint8)
+    for template in templates:
+        for y, x in layout.integers(0, 43, size=(6, 2)):
+            template[y:y + 6, x:x + 6] = 30
+    rng = np.random.default_rng(seed)
+    labels = np.resize(np.arange(7), n)
+    rng.shuffle(labels)
+    pixels = rng.integers(0, 110, size=(n, 48, 48), dtype=np.uint8) + templates[labels]
+    return (pixels.astype(np.float32) / 255.0).reshape(n, 1, 48, 48), labels
+
+
+class TestMatchesPerFeatureScan:
+    """The presorted search grows the tree of ``tests/tree_oracle.py``, byte for byte."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(fit_inputs())
+    def test_random_small_inputs(self, case):
+        x, y, min_split = case
+        cfg = TreeConfig(min_samples_split=min_split)
+        assert tree_to_lines(fit_tree(x, y, cfg)) == tree_to_lines(tree_oracle.fit_tree(x, y, cfg))
+
+    @pytest.mark.parametrize("min_split", [10, 40])
+    def test_seeded_face_like_images(self, min_split):
+        images, labels = fer_like_images(120, seed=11)
+        cfg = TreeConfig(min_samples_split=min_split)
+        lines = tree_to_lines(fit_tree(images, labels, cfg))
+        assert len(lines) > 3
+        assert lines == tree_to_lines(tree_oracle.fit_tree(images, labels, cfg))
+
+    def test_class_counts_over_two_packed_words(self):
+        # 600 rows need 10-bit counters: six classes fit one int64, the seventh a second
+        x, y = random_set(600, n_features=6, seed=12)
+        cfg = TreeConfig(min_samples_split=30)
+        assert tree_to_lines(fit_tree(x, y, cfg)) == tree_to_lines(tree_oracle.fit_tree(x, y, cfg))
+
+    def test_more_than_256_distinct_values(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(300, 5)) * 1000.0
+        y = rng.integers(0, 7, 300)
+        cfg = TreeConfig(min_samples_split=8)
+        assert tree_to_lines(fit_tree(x, y, cfg)) == tree_to_lines(tree_oracle.fit_tree(x, y, cfg))
+
+
 class TestPredict:
     def test_single_leaf_always_majority(self):
         root = TreeNode(class_counts=np.array([1, 5, 0, 0, 0, 0, 0]), predicted_class=1)
         for v in (0.0, 128.0, 255.0):
             assert predict_tree(root, np.full(4, v)) == 1
+
+    def test_float32_pixels_scaled_as_the_fit_scales_them(self):
+        images, labels = fer_like_images(70, seed=14)
+        root = fit_tree(images, labels, TreeConfig(min_samples_split=10))
+        lines = tree_to_lines(root)
+        for image in images:
+            assert predict_tree(root, image) == walk_serialized(lines, _pixel_units(image).reshape(-1))
 
     def test_agrees_with_serialized_walker(self):
         x, y = random_set(20, seed=8)
@@ -196,26 +259,64 @@ class TestSerialization:
         assert tree_to_lines(loaded) == tree_to_lines(root)
 
     def test_truncated_file_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ended mid-node after line 2"):
             tree_from_lines(["I 3 1.5", "L 0 1 0 0 0 0 0 0"])
 
     def test_trailing_lines_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 2: trailing"):
             tree_from_lines(["L 0 1 0 0 0 0 0 0", "L 1 0 1 0 0 0 0 0"])
 
     def test_bad_tag_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: unknown node tag 'X'"):
             tree_from_lines(["X 0 0"])
 
     def test_wrong_count_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: leaf line carries 3 counts, expected 7"):
             tree_from_lines(["L 0 1 2 3"])
+
+
+    def test_deep_chain_round_trips(self):
+        depth = 5000
+        lines = []
+        for i in range(depth):
+            lines.append(f"I {i % 7} {i + 0.5!r}")
+            lines.append("L 1 0 3 0 0 0 0 0")
+        lines.append("L 2 0 0 4 0 0 0 0")
+        root = tree_from_lines(lines)
+        assert tree_to_lines(root) == lines
+        assert predict_tree(root, np.full(7, 1e9)) == 2
+
+    @pytest.mark.parametrize("lines, message", [
+        (["I 0 zero", "L 0 1 0 0 0 0 0 0", "L 0 1 0 0 0 0 0 0"], "line 1: could not convert"),
+        (["I -2 0.5", "L 0 1 0 0 0 0 0 0", "L 0 1 0 0 0 0 0 0"], "line 1: negative feature"),
+        (["I 0 0.5 9", "L 0 1 0 0 0 0 0 0", "L 0 1 0 0 0 0 0 0"], "line 1: internal node line has 4"),
+        ([], "ended mid-node after line 0"),
+    ], ids=["bad-threshold", "negative-feature", "long-internal", "empty"])
+    def test_malformed_lines_named(self, lines, message):
+        with pytest.raises(ValueError, match=message):
+            tree_from_lines(lines)
+
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        path.write_text("I 0 0.5\n\nL 0 1 0 0 0 0 0 0\nQ\n")
+        with pytest.raises(ValueError, match="line 4: unknown node tag 'Q'"):
+            load_tree(str(path))
 
 
 class TestConfig:
     def test_min_split_lower_bound(self):
         with pytest.raises(ValueError):
             TreeConfig(min_samples_split=1)
+
+
+class TestFitRejects:
+    def test_label_outside_classes(self):
+        with pytest.raises(ValueError, match="labels"):
+            fit_tree(np.zeros((3, 2)), np.array([0, 7, 1]))
+
+    def test_zero_features(self):
+        with pytest.raises(ValueError, match="features"):
+            fit_tree(np.zeros((3, 0)), np.array([0, 1, 1]))
 
 
 class TestPixelUnits:
