@@ -19,7 +19,7 @@ from . import facedetect as fd
 from . import models as M
 from . import train as T
 from . import tree as tr
-from .gradcheck import gradcheck_architecture
+from .gradcheck import TOLERANCE, gradcheck_architecture
 from .optim import OptimizerConfig
 from .seeding import DEFAULT_SEED
 
@@ -42,11 +42,6 @@ MANIFEST_KEYS = {
     "epochs": int,
     "seed": int,
     "strict_epoch_eval": lambda s: s.lower() in ("1", "true", "yes"),
-    "cascade": str,
-    "image": str,
-    "model_file": str,
-    "min_neighbors": int,
-    "scale_factor": float,
 }
 
 
@@ -126,10 +121,10 @@ def _train_config(cell: dict, seed: int, strict) -> T.TrainConfig:
     lr = DEFAULT_LR[optimizer] if cell["lr"] is None else cell["lr"]
     try:
         opt = OptimizerConfig(kind=optimizer, learning_rate=lr, **_given(decay=cell["decay"]))
+        return T.TrainConfig(opt, seed=seed, **_given(
+            batch_size=cell["batch"], max_epochs=cell["epochs"], strict_epoch_eval=strict))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return T.TrainConfig(opt, seed=seed, **_given(
-        batch_size=cell["batch"], max_epochs=cell["epochs"], strict_epoch_eval=strict))
 
 
 def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
@@ -143,7 +138,7 @@ def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
         preds = [tr.predict_tree(root, image) for image in test_ds.images]
         return T.accuracy(preds, test_ds.labels)
     cfg = _train_config(cell, seed, strict)
-    net = M.Network(M.ARCHITECTURE_SPECS[cell["model"]]()).build(seed)
+    net = M.Network(M.ARCHITECTURE_SPECS[cell["model"]](), seed=seed)
     net, logs, stop_reason = T.train(net, train_ds, cfg)
     M.save_model(net, os.path.join(out, f"{cell['model']}.femo"))
     with open(os.path.join(out, "epochs.csv"), "w", encoding="utf-8") as fh:
@@ -349,11 +344,11 @@ def cmd_gradcheck(args) -> int:
     report = gradcheck_architecture(
         args.model, seed=args.seed if args.seed is not None else DEFAULT_SEED)
     for entry in report.entries:
-        status = "pass" if entry.error < report.tolerance else "FAIL"
+        status = "pass" if entry.error < TOLERANCE else "FAIL"
         print(f"{entry.label} rel_err={entry.error:.3e} {status}")
     worst = report.worst
     print(f"worst: {worst.label} ({worst.worst_part}) rel_err={worst.error:.3e} "
-          f"tolerance={report.tolerance:g}")
+          f"tolerance={TOLERANCE:g}")
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
@@ -366,6 +361,18 @@ def cmd_histogram(args) -> int:
             fh.write(csv_text)
     print(csv_text, end="")
     return EXIT_OK
+
+
+def _at_least(kind, low, *, strict=False):
+    """An argparse type: a ``kind`` value >= ``low``, or > ``low`` when strict."""
+    def parse(raw: str):
+        value = kind(raw)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {raw}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names the type
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--optimizer", choices=sorted(DEFAULT_LR))
     p_train.add_argument("--lr", type=float)
     p_train.add_argument("--decay", type=float)
-    p_train.add_argument("--batch", type=int)
-    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--batch", type=_at_least(int, 1))
+    p_train.add_argument("--epochs", type=_at_least(int, 0))
     p_train.add_argument("--strict-epoch-eval", dest="strict_epoch_eval",
                          action="store_const", const=True)
     p_train.set_defaults(func=cmd_train)
@@ -417,14 +424,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--cascade")
     p_detect.add_argument("--image")
     p_detect.add_argument("--model-file", dest="model_file")
-    p_detect.add_argument("--min-neighbors", dest="min_neighbors", type=int, default=3)
-    p_detect.add_argument("--scale-factor", dest="scale_factor", type=float, default=1.1)
+    p_detect.add_argument("--min-neighbors", dest="min_neighbors", type=_at_least(int, 0),
+                          default=3)
+    p_detect.add_argument("--scale-factor", dest="scale_factor",
+                          type=_at_least(float, 1.0, strict=True), default=1.1)
     p_detect.add_argument("--stats", action="store_true",
                           help="per-scale windows and stage survivors as CSV on stderr")
     p_detect.set_defaults(func=cmd_detect)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of all layers")
-    add_common(p_grad, model=True)
+    p_grad.add_argument("--model", choices=MODEL_NAMES, required=True)
+    add_common(p_grad)
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_hist = sub.add_parser("histogram", help="per-class sample counts as CSV")

@@ -134,19 +134,17 @@ def split_dataset(
     Records without usage tags fall back to a seeded random 80:20 split.
     """
     if records and not all(r.usage for r in records):
-        return random_split(records, 0.2, seed)
+        return random_split(records, seed)
     train = [r for r in records if r.usage == "Training"]
     test = [r for r in records if r.usage != "Training"]
     return LabeledDataset.from_records(train), LabeledDataset.from_records(test)
 
 
-def random_split(
-    records: list[FerRecord], test_fraction: float = 0.2, seed: int = 0
-) -> tuple[LabeledDataset, LabeledDataset]:
+def random_split(records: list[FerRecord], seed: int = 0) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded 80:20 fallback for files without meaningful usage tags."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
-    n_test = int(round(len(records) * test_fraction))
+    n_test = int(round(len(records) * 0.2))
     test_idx = set(order[:n_test].tolist())
     train = [r for i, r in enumerate(records) if i not in test_idx]
     test = [r for i, r in enumerate(records) if i in test_idx]

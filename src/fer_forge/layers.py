@@ -237,6 +237,8 @@ class Dense(Layer):
             raise ValueError(f"units must be >= 1, got {units}")
         if l2_penalty < 0:
             raise ValueError(f"l2 penalty must be >= 0, got {l2_penalty}")
+        if init not in ("he", "glorot"):
+            raise ValueError(f"init must be 'he' or 'glorot', got {init!r}")
         self.units = units
         self.l2_penalty = l2_penalty
         self.init = init

@@ -48,16 +48,18 @@ class DimOverflowError(ModelFileError):
 
 
 class Network:
-    """Ordered layer stack with build-time shape validation.
+    """Ordered layer stack, built and shape-checked by its constructor.
 
-    The final layer must be a softmax over ``num_classes`` outputs; any
-    adjacent shape incompatibility raises at build, not at first forward.
+    Parameters are initialised from ``seed``. The final layer must be a
+    softmax over ``num_classes`` outputs; any adjacent shape incompatibility
+    raises at construction, not at first forward.
     Images arrive as NCHW batches, the layout of the datasets and of
     ``preprocess_face``; the layers run on the channels-last view, so the
     shape trace of a (C,H,W) ``input_shape`` starts at (H,W,C).
     """
 
-    def __init__(self, specs: list[LayerSpec], input_shape=INPUT_SHAPE, num_classes=NUM_CLASSES):
+    def __init__(self, specs: list[LayerSpec], input_shape=INPUT_SHAPE, num_classes=NUM_CLASSES,
+                 seed: int = 0):
         self.specs = specs
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
@@ -67,37 +69,28 @@ class Network:
                 self.layers.append(spec.materialize())
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
-        self.built = False
-
-    def build(self, seed: int = 0) -> "Network":
         rng = np.random.default_rng(derive_seed(seed, "init"))
         shape = self.input_shape[1:] + self.input_shape[:1]
-        trace = [shape]
+        self._trace = [shape]
         for i, layer in enumerate(self.layers):
             try:
                 shape = layer.build(shape, rng)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-            trace.append(shape)
+            self._trace.append(shape)
         if not self.layers or self.layers[-1].kind != "softmax":
             raise ShapeError("network must end in a softmax layer")
-        if shape != (self.num_classes,):
-            raise ShapeError(f"final layer has shape {shape}, expected ({self.num_classes},)")
-        self._trace = trace
-        self.built = True
-        return self
+        if shape != (num_classes,):
+            raise ShapeError(f"final layer has shape {shape}, expected ({num_classes},)")
 
     def shape_trace(self) -> list[tuple[int, ...]]:
         """Input shape followed by each layer's output shape."""
-        self._require_built()
         return list(self._trace)
 
     def parameters(self) -> list[np.ndarray]:
-        self._require_built()
         return [p for layer in self.layers for p in layer.params]
 
     def gradients(self) -> list[np.ndarray]:
-        self._require_built()
         return [g for layer in self.layers for g in layer.grads]
 
     def parameter_count(self) -> int:
@@ -108,7 +101,6 @@ class Network:
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
-        self._require_built()
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input [N,{','.join(map(str, self.input_shape))}], "
                              f"got shape {x.shape}")
@@ -145,10 +137,6 @@ class Network:
             "layers": [{"kind": spec.kind, "hyper": spec.hyper} for spec in self.specs],
         }
 
-    def _require_built(self):
-        if not self.built:
-            raise RuntimeError("network is not built; call build(seed) first")
-
 
 def _conv_block(filters, padding):
     return [
@@ -171,7 +159,7 @@ def feedforward_specs(hidden1: int = 1024, hidden2: int = 512) -> list[LayerSpec
     ]
 
 
-def simple_cnn_specs(dense_units: int = 128, padding: int = 0) -> list[LayerSpec]:
+def simple_cnn_specs(padding: int = 0) -> list[LayerSpec]:
     return (
         _conv_block(32, padding)
         + _conv_block(64, padding)
@@ -179,7 +167,7 @@ def simple_cnn_specs(dense_units: int = 128, padding: int = 0) -> list[LayerSpec
             LayerSpec("maxpool2d"),
             LayerSpec("dropout", {"rate": 0.25}),
             LayerSpec("flatten"),
-            LayerSpec("dense", {"units": dense_units}),
+            LayerSpec("dense", {"units": 128}),
             LayerSpec("relu"),
             LayerSpec("dropout", {"rate": 0.5}),
             LayerSpec("dense", {"units": NUM_CLASSES, "init": "glorot"}),
@@ -188,7 +176,7 @@ def simple_cnn_specs(dense_units: int = 128, padding: int = 0) -> list[LayerSpec
     )
 
 
-def proposed_cnn_specs(dense_units: int = 512, padding: int = 0) -> list[LayerSpec]:
+def proposed_cnn_specs(padding: int = 0) -> list[LayerSpec]:
     return (
         _conv_block(64, padding)
         + _conv_block(64, padding)
@@ -201,7 +189,7 @@ def proposed_cnn_specs(dense_units: int = 512, padding: int = 0) -> list[LayerSp
             LayerSpec("maxpool2d"),
             LayerSpec("dropout", {"rate": 0.25}),
             LayerSpec("flatten"),
-            LayerSpec("dense", {"units": dense_units, "l2_penalty": 0.001}),
+            LayerSpec("dense", {"units": 512, "l2_penalty": 0.001}),
             LayerSpec("relu"),
             LayerSpec("dropout", {"rate": 0.5}),
             LayerSpec("dense", {"units": NUM_CLASSES, "init": "glorot"}),
@@ -212,17 +200,17 @@ def proposed_cnn_specs(dense_units: int = 512, padding: int = 0) -> list[LayerSp
 
 def build_feedforward(hidden1: int = 1024, hidden2: int = 512, seed: int = 0) -> Network:
     """Flatten -> two ReLU dense blocks with dropout 0.2 -> 7-way softmax."""
-    return Network(feedforward_specs(hidden1, hidden2)).build(seed)
+    return Network(feedforward_specs(hidden1, hidden2), seed=seed)
 
 
-def build_simple_cnn(dense_units: int = 128, padding: int = 0, seed: int = 0) -> Network:
+def build_simple_cnn(padding: int = 0, seed: int = 0) -> Network:
     """Two conv layers, one pool, then a single hidden dense layer."""
-    return Network(simple_cnn_specs(dense_units, padding)).build(seed)
+    return Network(simple_cnn_specs(padding), seed=seed)
 
 
-def build_proposed_cnn(dense_units: int = 512, padding: int = 0, seed: int = 0) -> Network:
+def build_proposed_cnn(padding: int = 0, seed: int = 0) -> Network:
     """Six conv layers (64/64/128/128/256/256), two pools, L2-regularized dense head."""
-    return Network(proposed_cnn_specs(dense_units, padding)).build(seed)
+    return Network(proposed_cnn_specs(padding), seed=seed)
 
 
 # The one architecture registry: model name -> layer-spec function.
@@ -273,7 +261,7 @@ def _network_from_arch(arch) -> Network:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"arch layer {i}: bad descriptor {desc!r} ({exc!r})") from exc
     try:
-        return Network(specs, tuple(arch["input_shape"]), arch["num_classes"]).build(seed=0)
+        return Network(specs, tuple(arch["input_shape"]), arch["num_classes"])
     except (TypeError, ValueError) as exc:  # Network names a failing layer by its index
         raise ModelFileError(f"arch {exc}") from exc
 

@@ -1,16 +1,20 @@
 """SGD, RMSProp and Adam with an inverse-time learning-rate schedule.
 
 All three share the schedule lr_t = lr / (1 + decay * t), where t is the
-global update count (first update sees t = 1). Defaults follow the usual
-framework conventions: Adam beta1=0.9 / beta2=0.999, RMSProp rho=0.9,
-epsilon 1e-7. SGD is the plain step lr_t * grad.
+global update count (first update sees t = 1). The moment constants are
+fixed at the usual framework defaults: Adam beta1=0.9 / beta2=0.999,
+RMSProp rho=0.9, epsilon 1e-7. SGD is the plain step lr_t * grad.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 KINDS = ("sgd", "rmsprop", "adam")
+RHO = 0.9
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-7
 
 
 @dataclass
@@ -18,10 +22,6 @@ class OptimizerConfig:
     kind: str
     learning_rate: float
     decay: float = 0.0
-    rho: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -30,84 +30,45 @@ class OptimizerConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.decay < 0:
             raise ValueError(f"decay must be >= 0, got {self.decay}")
-        for name in ("rho", "beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0,1), got {v}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-
-
-@dataclass
-class OptimizerState:
-    """Step counter plus per-parameter first/second moment accumulators."""
-
-    t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "OptimizerState":
-        return cls(
-            t=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
 
 
 def schedule_lr(cfg: OptimizerConfig, t: int) -> float:
     return cfg.learning_rate / (1.0 + cfg.decay * t)
 
 
-def sgd_step(
-    w: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, state: OptimizerState, slot: int = 0
-) -> np.ndarray:
-    w -= schedule_lr(cfg, state.t) * grad
-    return w
-
-
-def rmsprop_step(
-    w: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, state: OptimizerState, slot: int = 0
-) -> np.ndarray:
-    lr = schedule_lr(cfg, state.t)
-    v = state.v[slot]
-    v *= cfg.rho
-    v += (1.0 - cfg.rho) * np.square(grad)
-    w -= lr * grad / (np.sqrt(v) + cfg.epsilon)
-    return w
-
-
-def adam_step(
-    w: np.ndarray, grad: np.ndarray, cfg: OptimizerConfig, state: OptimizerState, slot: int = 0
-) -> np.ndarray:
-    t = max(state.t, 1)  # bias correction needs t >= 1 even on a fresh state
-    lr = schedule_lr(cfg, state.t)
-    m, v = state.m[slot], state.v[slot]
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * np.square(grad)
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    w -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return w
-
-
-_STEP_FNS = {"sgd": sgd_step, "rmsprop": rmsprop_step, "adam": adam_step}
-
-
 class Optimizer:
-    """Binds a config and state to a parameter list; one ``step`` per batch."""
+    """Updates a parameter list in place, one ``step`` per batch.
+
+    Holds the update count and only the moments its rule reads: Adam keeps
+    first and second moments, RMSProp the second, SGD none.
+    """
 
     def __init__(self, cfg: OptimizerConfig, params: list[np.ndarray]):
         self.cfg = cfg
         self.params = params
-        self.state = OptimizerState.for_params(params)
-        self._step_fn = _STEP_FNS[cfg.kind]
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params] if cfg.kind == "adam" else []
+        self.v = [np.zeros_like(p) for p in params] if cfg.kind != "sgd" else []
 
     def step(self, grads: list[np.ndarray]):
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        self.state.t += 1
-        for i, (w, g) in enumerate(zip(self.params, grads)):
-            self._step_fn(w, g, self.cfg, self.state, slot=i)
+        self.t += 1
+        lr = schedule_lr(self.cfg, self.t)
+        if self.cfg.kind == "sgd":
+            for w, g in zip(self.params, grads):
+                w -= lr * g
+        elif self.cfg.kind == "rmsprop":
+            for w, g, v in zip(self.params, grads, self.v):
+                v *= RHO
+                v += (1.0 - RHO) * np.square(g)
+                w -= lr * g / (np.sqrt(v) + EPSILON)
+        else:
+            for w, g, m, v in zip(self.params, grads, self.m, self.v):
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * np.square(g)
+                m_hat = m / (1.0 - BETA1**self.t)
+                v_hat = v / (1.0 - BETA2**self.t)
+                w -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)

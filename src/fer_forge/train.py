@@ -17,6 +17,8 @@ from .models import Network
 from .optim import Optimizer, OptimizerConfig
 from .seeding import DEFAULT_SEED, derive_seed
 
+EVAL_BATCH = 64
+
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, batch: int, loss: float):
@@ -60,13 +62,6 @@ class ConfusionMatrix:
     """7x7 count table; rows are true classes, columns predictions."""
 
     counts: np.ndarray = field(default_factory=lambda: np.zeros((NUM_CLASSES, NUM_CLASSES), int))
-
-    def rates(self) -> np.ndarray:
-        row_sums = self.counts.sum(axis=1, keepdims=True)
-        return np.divide(
-            self.counts, row_sums, out=np.zeros_like(self.counts, dtype=np.float64),
-            where=row_sums > 0,
-        )
 
     def accuracy(self) -> float:
         total = self.counts.sum()
@@ -136,15 +131,16 @@ def argmax_labels(probs: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=-1)
 
 
-def evaluate(net: Network, dataset: LabeledDataset, batch_size: int = 64):
+def evaluate(net: Network, dataset: LabeledDataset):
     """Dropout-free predictions over a dataset: (accuracy, probs, preds).
 
-    Batch size bounds the transient activations and per-tap GEMM products
-    of the conv layers, not the result quality.
+    Images go through in batches of EVAL_BATCH, which bounds the transient
+    activations and per-tap GEMM products of the conv layers, not the
+    result quality.
     """
     all_probs = np.zeros((len(dataset), NUM_CLASSES), dtype=np.float32)
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.images[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        xb = dataset.images[start : start + EVAL_BATCH]
         all_probs[start : start + xb.shape[0]] = net.forward(xb, train=False)
     preds = argmax_labels(all_probs)
     return accuracy(preds, dataset.labels), all_probs, preds

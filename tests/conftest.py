@@ -137,6 +137,11 @@ MALFORMED_ARCHS = {
          "layers": [{"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax", "hyper": {"bogus": 1}}]},
         "arch layer 1",
     ),
+    "unknown-dense-init": (
+        {"input_shape": [4], "num_classes": 7,
+         "layers": [{"kind": "dense", "hyper": {"units": 7, "init": "glorrot"}}, {"kind": "softmax"}]},
+        "arch layer 0",
+    ),
     "invalid-stack": (
         {"input_shape": [1, 8, 8], "num_classes": 7,
          "layers": [{"kind": "flatten"}, {"kind": "conv2d", "hyper": {"filters": 2}}, {"kind": "softmax"}]},

@@ -37,7 +37,7 @@ SPECS = [
 
 
 def main():
-    net = Network(SPECS, INPUT_SHAPE, 7).build(seed=11)
+    net = Network(SPECS, INPUT_SHAPE, 7, seed=11)
     save_model(net, str(HERE / "golden_tiny.femo"))
     rng = np.random.default_rng(2024)
     inputs = rng.random((4, *INPUT_SHAPE), dtype=np.float32)

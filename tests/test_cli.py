@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -12,7 +13,14 @@ from conftest import (
     reject_all_cascade_doc,
     write_arch_only,
 )
-from fer_forge.cli import _parse_cell, load_default_grid, main, parse_manifest
+from fer_forge.cli import (
+    MANIFEST_KEYS,
+    _parse_cell,
+    build_parser,
+    load_default_grid,
+    main,
+    parse_manifest,
+)
 from fer_forge.facedetect import write_pnm
 from fer_forge.models import build_feedforward, save_model
 
@@ -41,6 +49,47 @@ def face_pgm(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def exit_code(argv):
+    """``main``'s return code, or the status of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_VALUES = [  # argv ({data}, {out}, {cascade}, {image} filled in), the flag stderr names
+    pytest.param("train --model ffnn --data {data} --out {out} --batch 0", "--batch",
+                 id="train-batch-0"),
+    pytest.param("train --model ffnn --data {data} --out {out} --epochs -1", "--epochs",
+                 id="train-epochs-negative"),
+    pytest.param("train --model ffnn --data {data} --out {out} --batch x", "--batch",
+                 id="train-batch-not-a-number"),
+    pytest.param("gradcheck", "--model", id="gradcheck-no-model"),
+    pytest.param("detect --cascade {cascade} --image {image} --scale-factor 1.0",
+                 "--scale-factor", id="detect-scale-factor-1"),
+    pytest.param("detect --cascade {cascade} --image {image} --min-neighbors -5",
+                 "--min-neighbors", id="detect-min-neighbors-negative"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_VALUES)
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, dataset_csv, face_pgm, capsys, argv, flag):
+    cascade = tmp_path / "cascade.json"
+    cascade.write_text(json.dumps(accept_all_cascade_doc()))
+    out = tmp_path / "out"
+    argv = argv.format(data=dataset_csv, out=out, cascade=cascade, image=face_pgm).split()
+    assert exit_code(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_manifest_value_exits_2(tmp_path, dataset_csv, capsys):
+    manifest = tmp_path / "run.manifest"
+    manifest.write_text(f"model = ffnn\ndata = {dataset_csv}\nout = {tmp_path / 'o'}\nbatch = 0\n")
+    assert run("train", "--manifest", str(manifest)) == 2
+    assert "batch size must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -137,6 +186,12 @@ class TestManifestParsing:
         path.write_text("model ffnn\n")
         with pytest.raises(Exception, match="key = value"):
             parse_manifest(str(path))
+
+    def test_every_key_is_a_train_or_sweep_flag(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for name in ("train", "sweep") for a in commands.choices[name]._actions}
+        assert set(MANIFEST_KEYS) <= dests
 
     def test_default_sweep_grid_ships_with_package(self):
         grid = load_default_grid()
@@ -309,7 +364,8 @@ class TestSweepCommand:
         assert train_acc == f"test_accuracy={sweep_acc}"
 
     def test_failed_cell_recorded_and_sweep_continues(self, tmp_path, dataset_csv):
-        grid = self._grid(tmp_path, ["ffnn,nosuchopt,6,1,0.001,0", "ffnn,adam,6,1,0.001,0"])
+        grid = self._grid(tmp_path, ["ffnn,nosuchopt,6,1,0.001,0", "ffnn,adam,6,1,0.001,0",
+                                     "ffnn,adam,0,1,0.001,0"])
         out = str(tmp_path / "sweep_fail")
         code = run("sweep", "--data", dataset_csv, "--out", out, "--manifest", grid,
                    "--seed", "3")
@@ -317,6 +373,7 @@ class TestSweepCommand:
         rows = open(os.path.join(out, "sweep_results.csv")).read().strip().split("\n")
         assert "unknown optimizer" in rows[1]
         assert rows[2].endswith(",")
+        assert rows[3].endswith(",batch size must be >= 1, got 0")
 
     def test_bad_cell_shape_exits_2(self, tmp_path, dataset_csv):
         grid = self._grid(tmp_path, ["ffnn,adam,6"])

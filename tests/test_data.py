@@ -118,7 +118,7 @@ class TestSplit:
     def test_random_split_partition_disjoint(self):
         rows = random_rows(25, seed=3, usage_cycle=(None,))
         records = parse_text(make_fer_csv(rows, header="emotion,pixels"))
-        train, test = random_split(records, 0.2, seed=1)
+        train, test = random_split(records, seed=1)
         # identity disjointness: every record lands in exactly one side
         key = lambda img: img.tobytes()
         train_keys = {key(train.images[i]) for i in range(len(train))}

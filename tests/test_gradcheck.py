@@ -1,6 +1,7 @@
 import pytest
 
 from fer_forge.gradcheck import gradcheck_architecture
+from fer_forge.layers import MaxPool2D
 
 
 class TestArchitectureSuite:
@@ -10,13 +11,21 @@ class TestArchitectureSuite:
         assert report.passed
         assert all(e.error < 1e-5 for e in report.entries)
 
-    def test_corrupted_backward_fails_naming_the_layer(self):
-        report = gradcheck_architecture("proposed_cnn", seed=42, corrupt_layer=2)
+    def test_corrupted_backward_fails_naming_the_layer(self, monkeypatch):
+        # simple_cnn has one max pool, layer 4; perturb its input gradient
+        def corrupted(layer, grad, _orig=MaxPool2D.backward):
+            out = _orig(layer, grad).copy()
+            out.ravel()[0] += 1e-2
+            return out
+
+        monkeypatch.setattr(MaxPool2D, "backward", corrupted)
+        report = gradcheck_architecture("simple_cnn", seed=42)
         assert not report.passed
         worst = report.worst
-        assert worst.label.startswith("02:")
+        assert worst.label.startswith("04:maxpool2d")
         assert worst.error > 1e-5
         assert worst.worst_part == "input"
+        assert all(e.error < 1e-5 for e in report.entries if e is not worst)
 
     def test_same_seed_identical_report(self):
         a = gradcheck_architecture("simple_cnn", seed=7)

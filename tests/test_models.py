@@ -97,7 +97,7 @@ class TestProposedCnn:
         ]
 
     def test_total_parameter_count_closed_form(self):
-        net = build_proposed_cnn(dense_units=512, seed=0)
+        net = build_proposed_cnn(seed=0)
         expected = (
             conv_params(1, 64) + conv_params(64, 64) + conv_params(64, 128)
             + conv_params(128, 128) + conv_params(128, 256) + conv_params(256, 256)
@@ -122,7 +122,7 @@ class TestBuildValidation:
     def test_dense_on_unflattened_input_rejected(self):
         specs = [LayerSpec("dense", {"units": 7}), LayerSpec("softmax")]
         with pytest.raises(ShapeError):
-            Network(specs).build(0)
+            Network(specs)
 
     def test_conv_after_flatten_rejected(self):
         specs = [
@@ -131,26 +131,25 @@ class TestBuildValidation:
             LayerSpec("softmax"),
         ]
         with pytest.raises(ShapeError):
-            Network(specs).build(0)
+            Network(specs)
 
     def test_missing_softmax_rejected(self):
         specs = [LayerSpec("flatten"), LayerSpec("dense", {"units": 7})]
         with pytest.raises(ShapeError, match="softmax"):
-            Network(specs).build(0)
+            Network(specs)
 
     def test_wrong_class_count_rejected(self):
         specs = [LayerSpec("flatten"), LayerSpec("dense", {"units": 5}), LayerSpec("softmax")]
         with pytest.raises(ShapeError):
-            Network(specs).build(0)
+            Network(specs)
 
     def test_conv_shrinks_below_one_rejected(self):
         specs = (
             [LayerSpec("conv2d", {"filters": 2, "kernel_size": 3}) for _ in range(4)]
             + [LayerSpec("flatten"), LayerSpec("dense", {"units": 7}), LayerSpec("softmax")]
         )
-        net = Network(specs, input_shape=(1, 8, 8))
         with pytest.raises(ShapeError):
-            net.build(0)
+            Network(specs, input_shape=(1, 8, 8))
 
 
 class TestPredict:

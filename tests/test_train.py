@@ -84,13 +84,6 @@ class TestConfusion:
             matrix = confusion(preds, truths)
             assert matrix.accuracy() == pytest.approx(accuracy(preds, truths))
 
-    def test_rates_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        matrix = confusion(rng.integers(0, 7, 100), rng.integers(0, 7, 100))
-        rates = matrix.rates()
-        present = matrix.counts.sum(axis=1) > 0
-        assert np.allclose(rates[present].sum(axis=1), 1.0)
-
     def test_row_sums_match_histogram(self):
         ds = synthetic_dataset(21, seed=3)
         preds = np.random.default_rng(2).integers(0, 7, 21)
