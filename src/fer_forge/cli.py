@@ -31,17 +31,17 @@ MODEL_NAMES = ("tree", *M.ARCHITECTURE_SPECS)
 DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001, "adam": 0.001}
 SWEEP_COLUMNS = ("model", "optimizer", "batch", "epochs", "lr", "decay", "accuracy", "error")
 
-MANIFEST_KEYS = {
+_RUN_KEYS = {
     "model": str,
     "data": str,
     "out": str,
-    "optimizer": str,
-    "lr": float,
-    "decay": float,
-    "batch": int,
-    "epochs": int,
     "seed": int,
     "strict_epoch_eval": lambda s: s.lower() in ("1", "true", "yes"),
+}
+MANIFEST_KEYS = {  # command -> the keys its manifest may set, each with its value parser
+    "train": {**_RUN_KEYS, "optimizer": str, "lr": float, "decay": float, "batch": int,
+              "epochs": int},
+    "sweep": {**_RUN_KEYS, "cell": str},
 }
 
 
@@ -49,10 +49,11 @@ class UsageError(Exception):
     """Bad flags, missing files or malformed inputs; maps to exit code 2."""
 
 
-def parse_manifest(path: str) -> dict:
-    """Flat key = value file; repeated ``cell`` keys accumulate into a list."""
+def parse_manifest(path: str, command: str) -> dict:
+    """Flat key = value file of ``command``'s keys; repeated ``cell`` keys accumulate into a list."""
     if not os.path.isfile(path):
         raise UsageError(f"manifest not found: {path}")
+    keys = MANIFEST_KEYS[command]
     settings: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_num, raw in enumerate(fh, start=1):
@@ -63,15 +64,15 @@ def parse_manifest(path: str) -> dict:
                 raise UsageError(f"{path}:{line_num}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key not in keys:
+                raise UsageError(f"{path}:{line_num}: unknown key {key!r} for {command}")
             if key == "cell":
                 settings.setdefault("cell", []).append(value)
                 continue
-            if key not in MANIFEST_KEYS:
-                raise UsageError(f"{path}:{line_num}: unknown key {key!r}")
             if key in settings:
                 raise UsageError(f"{path}:{line_num}: duplicate key {key!r}")
             try:
-                settings[key] = MANIFEST_KEYS[key](value)
+                settings[key] = keys[key](value)
             except ValueError:
                 raise UsageError(f"{path}:{line_num}: bad value {value!r} for {key}") from None
     return settings
@@ -127,16 +128,17 @@ def _train_config(cell: dict, seed: int, strict) -> T.TrainConfig:
         raise UsageError(str(exc)) from exc
 
 
-def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
+def run_cell(cell: dict, split, out: str, seed: int, strict) -> tuple[float, str]:
     """Fit one cell's model on a (train, test) split, write its files under ``out``
-    and return its test accuracy. Unset (None) cell fields take the config defaults."""
+    and return its test accuracy and the lines its caller prints. Unset (None) cell
+    fields take the config defaults."""
     train_ds, test_ds = split
     os.makedirs(out, exist_ok=True)
     if cell["model"] == "tree":
         root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig())
         tr.save_tree(root, os.path.join(out, "tree.txt"))
         preds = [tr.predict_tree(root, image) for image in test_ds.images]
-        return T.accuracy(preds, test_ds.labels)
+        return T.accuracy(preds, test_ds.labels), ""
     cfg = _train_config(cell, seed, strict)
     net = M.Network(M.ARCHITECTURE_SPECS[cell["model"]](), seed=seed)
     net, logs, stop_reason = T.train(net, train_ds, cfg)
@@ -144,22 +146,21 @@ def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
     with open(os.path.join(out, "epochs.csv"), "w", encoding="utf-8") as fh:
         fh.write(T.epoch_logs_csv(logs))
     test_acc, _, _ = T.evaluate(net, test_ds)
-    print(f"stop_reason={stop_reason} epochs_ran={len(logs)}")
-    return test_acc
+    return test_acc, f"stop_reason={stop_reason} epochs_ran={len(logs)}\n"
 
 
 def cmd_train(args) -> int:
-    manifest = parse_manifest(args.manifest) if args.manifest else {}
+    manifest = parse_manifest(args.manifest, "train") if args.manifest else {}
     cell = {key: _merge(args, manifest, key) for key in ("model", "batch", "epochs", "lr", "decay")}
     if cell["model"] not in MODEL_NAMES:
         raise UsageError(f"--model must be one of {MODEL_NAMES}, got {cell['model']!r}")
     cell["optimizer"] = _merge(args, manifest, "optimizer", "adam")
     split, out, seed, strict = _run_settings(args, manifest)
-    test_acc = run_cell(cell, split, out, seed, strict)
+    test_acc, report = run_cell(cell, split, out, seed, strict)
     line = f"test_accuracy={test_acc:.4f}"
     with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
-    print(line)
+    print(report + line)
     return EXIT_OK
 
 
@@ -189,10 +190,10 @@ def _parse_cell(raw: str, default_model: str):
 def _run_sweep_cell(split, job) -> dict:
     cell, out_dir, seed, strict = job
     try:
-        acc = run_cell(cell, split, out_dir, seed, strict)
-        return {**cell, "accuracy": f"{acc:.4f}", "error": ""}
+        acc, report = run_cell(cell, split, out_dir, seed, strict)
+        return {**cell, "accuracy": f"{acc:.4f}", "error": "", "report": report}
     except Exception as exc:  # per-cell failures must not kill the sweep
-        return {**cell, "accuracy": "", "error": str(exc)}
+        return {**cell, "accuracy": "", "error": str(exc), "report": ""}
 
 
 _pool_split = None  # a pool worker's copy of the sweep's split, set once by _share_split
@@ -210,7 +211,7 @@ def _run_pooled_cell(job) -> dict:
 def load_default_grid() -> dict:
     grid = importlib.resources.files("fer_forge") / "manifests" / "default_sweep.manifest"
     with importlib.resources.as_file(grid) as path:
-        return parse_manifest(str(path))
+        return parse_manifest(str(path), "sweep")
 
 
 def _sweep_workers() -> int:
@@ -227,7 +228,7 @@ def _sweep_workers() -> int:
 
 def cmd_sweep(args) -> int:
     workers = _sweep_workers()
-    manifest = parse_manifest(args.manifest) if args.manifest else load_default_grid()
+    manifest = parse_manifest(args.manifest, "sweep") if args.manifest else load_default_grid()
     default_model = _merge(args, manifest, "model", "proposed_cnn")
     cells = [_parse_cell(raw, default_model) for raw in manifest.get("cell", [])]
     split, out, seed, strict = _run_settings(args, manifest)
@@ -245,6 +246,7 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_run_pooled_cell, jobs))
     else:
         results = [_run_sweep_cell(split, job) for job in jobs]
+    print("".join(r["report"] for r in results), end="")  # in cell order, whoever ran the cell
 
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(str(r[column]) for column in SWEEP_COLUMNS) for r in results]
@@ -325,16 +327,12 @@ def cmd_detect(args) -> int:
         on_scale = _print_scan_row
     detections = fd.detect(cascade, gray, scale_factor=args.scale_factor,
                            min_neighbors=args.min_neighbors, on_scale=on_scale)
-    header = "x,y,w,h,neighbors"
+    header, *rows = fd.detections_csv(detections).splitlines()
     if net is not None:
         header += "," + ",".join(D.EMOTION_NAMES)
-    print(header)
-    for det in detections:
-        row = f"{det.x},{det.y},{det.w},{det.h},{det.neighbors}"
-        if net is not None:
-            probs = net.predict(fd.preprocess_face(image, det))
-            row += "," + ",".join(f"{p:.6f}" for p in probs)
-        print(row)
+        rows = [row + "," + ",".join(f"{p:.6f}" for p in net.predict(fd.preprocess_face(image, det)))
+                for row, det in zip(rows, detections)]
+    print("\n".join([header, *rows]))
     return EXIT_OK
 
 
@@ -451,7 +449,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, D.DataFormatError, fd.PnmFormatError, fd.CascadeFormatError,
-            M.ModelFileError, FileNotFoundError) as exc:
+            M.ModelFileError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+            FileExistsError) as exc:  # an input missing or an output path of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # computational failure

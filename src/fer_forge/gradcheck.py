@@ -49,9 +49,7 @@ def check_layer_detailed(layer: Layer, in_shape: tuple[int, ...], seed: int) -> 
     Returns (error, gradient label) where the label is "input" or "param N".
     """
     out_shape = layer.build(in_shape, np.random.default_rng(derive_seed(seed, "build")))
-    for i, p in enumerate(layer.params):
-        layer.params[i] = p.astype(np.float64)
-        layer.grads[i] = np.zeros_like(layer.params[i])
+    layer.params = [p.astype(np.float64) for p in layer.params]
 
     x = np.random.default_rng(derive_seed(seed, "input")).standard_normal((2, *in_shape))
     proj = np.random.default_rng(derive_seed(seed, "proj")).standard_normal((2, *out_shape))
@@ -59,18 +57,14 @@ def check_layer_detailed(layer: Layer, in_shape: tuple[int, ...], seed: int) -> 
 
     def objective() -> float:
         out = layer.forward(x, True, np.random.default_rng(mask_seed))
-        value = float(np.sum(out * proj))
-        for penalty, w in layer.l2_terms():
-            value += penalty * float(np.sum(w * w))
-        return value
+        return float(np.sum(out * proj)) + layer.penalty()
 
     objective()  # populate caches for the analytic pass
     analytic_x = layer.backward(proj.copy())
-    analytic_params = [g.copy() for g in layer.grads]
 
     worst = relative_error(analytic_x, fd_gradient(objective, x))
     worst_part = "input"
-    for i, (analytic, param) in enumerate(zip(analytic_params, layer.params)):
+    for i, (analytic, param) in enumerate(zip(layer.grads, layer.params)):
         err = relative_error(analytic, fd_gradient(objective, param))
         if err > worst:
             worst, worst_part = err, f"param {i}"

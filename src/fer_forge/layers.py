@@ -1,10 +1,10 @@
 """Layer forward/backward passes and the categorical cross-entropy loss.
 
-Module-level functions hold the math; the Layer classes below wrap them
-with parameter storage and per-forward caches so networks can run a
-backward pass without an autodiff graph. Layers take [N,H,W,C] or [N,D]
-batches and ``build`` per-sample shapes. All backward passes are checked
-against central finite differences in the test suite.
+Each Layer class holds its own math, its parameters and a per-forward
+cache, so networks can run a backward pass without an autodiff graph.
+Layers take [N,H,W,C] or [N,D] batches and ``build`` per-sample shapes. All
+backward passes are checked against central finite differences in the
+test suite.
 """
 
 import logging
@@ -25,81 +25,8 @@ from .tensor import (
 log = logging.getLogger(__name__)
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    # out = relu(x) is > 0 exactly where x is; the subgradient at 0 is 0
-    return grad * (out > 0)
-
-
-def softmax_forward(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for overflow safety."""
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("softmax input contains non-finite values")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_backward(probs: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Jacobian-vector product of softmax: p * (g - <g, p>)."""
-    inner = (grad * probs).sum(axis=-1, keepdims=True)
-    return probs * (grad - inner)
-
-
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    if x.shape[-1] != weights.shape[0]:
-        raise ShapeError(
-            f"dense input axis ({x.shape[-1]}) does not match weight rows ({weights.shape[0]})"
-        )
-    return x @ weights + bias
-
-
-def dense_backward(
-    x: np.ndarray, weights: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grad_x, grad_w, grad_b) of ``dense_forward`` on an [N,D] batch."""
-    return grad @ weights.T, x.T @ grad, grad.sum(axis=0)
-
-
-def dropout_forward(
-    x: np.ndarray, rate: float, train: bool, rng: int | np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
-
-    Inference mode is the identity, so training-time expectations match
-    inference activations. Returns (output, mask); the mask already carries
-    the survivor scaling and is None in inference mode.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if not train or rate == 0.0:
-        return x, None
-    gen = np.random.default_rng(rng) if isinstance(rng, int) else rng
-    # drawn in [N,C,H,W] order for an image batch, so the layout does not change
-    # which units a seed drops
-    keep = np.moveaxis(gen.random(np.moveaxis(x, -1, 1).shape), 1, -1) >= rate
-    mask = keep.astype(x.dtype, order="C") / (1.0 - rate)
-    return x * mask, mask
-
-
-def dropout_backward(mask: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
-    return grad if mask is None else grad * mask
-
-
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Each sample of an [N,H,W,C] batch as a row in [C,H,W] order, as dense weights expect."""
-    return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-
-
-def cross_entropy_loss(
-    probs: np.ndarray,
-    target_onehot: np.ndarray,
-    l2_terms: list[tuple[float, np.ndarray]] = (),
-) -> float:
-    """Categorical cross-entropy -log p[true] plus sum of penalty * sum(W^2).
+def cross_entropy_loss(probs: np.ndarray, target_onehot: np.ndarray) -> float:
+    """Categorical cross-entropy -log p[true].
 
     ``probs`` must come from a softmax; a batch is averaged. Probabilities
     at the true class are clamped at 1e-12 before the log.
@@ -111,22 +38,15 @@ def cross_entropy_loss(
     if degenerate.any():
         log.warning("clamped %d degenerate probabilities before log", int(degenerate.sum()))
         true_p = np.maximum(true_p, 1e-12)
-    loss = float(-np.log(true_p).mean())
-    for penalty, w in l2_terms:
-        loss += penalty * float(np.sum(np.square(w, dtype=np.float64)))
-    return loss
-
-
-def softmax_xent_grad(probs: np.ndarray, target_onehot: np.ndarray) -> np.ndarray:
-    """Fused softmax + cross-entropy gradient at the logits: probs - target."""
-    return probs - target_onehot
+    return float(-np.log(true_p).mean())
 
 
 class Layer:
-    """Base layer: parameter storage plus forward/backward with a cache.
+    """Base layer: parameters, their gradients and a per-forward cache.
 
-    ``_cache`` holds what ``backward`` needs from a training forward; a
-    forward with ``train=False`` leaves it None.
+    ``grads`` holds the parameter gradients the last ``backward`` computed
+    and is empty before the first. ``_cache`` holds what ``backward`` needs
+    from a training forward; a forward with ``train=False`` leaves it None.
     """
 
     kind = "layer"
@@ -145,8 +65,9 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def l2_terms(self) -> list[tuple[float, np.ndarray]]:
-        return []
+    def penalty(self) -> float:
+        """This layer's term of the training loss beyond the cross-entropy."""
+        return 0.0
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -180,7 +101,6 @@ class Conv2D(Layer):
         )
         bias = np.zeros(self.filters, dtype=np.float32)
         self.params = [kernels, bias]
-        self.grads = [np.zeros_like(kernels), np.zeros_like(bias)]
         return (oh, ow, self.filters)
 
     def forward(self, x, train, rng):
@@ -188,9 +108,8 @@ class Conv2D(Layer):
         return conv2d(x, self.params[0], self.params[1], self.geom)
 
     def backward(self, grad):
-        grad_x, grad_k, grad_b = conv2d_backward(self._cache, self.params[0], self.geom, grad)
-        self.grads[0][...] = grad_k
-        self.grads[1][...] = grad_b
+        self.grads = []  # the last step's gradients go first, lowering the step's peak memory
+        grad_x, *self.grads = conv2d_backward(self._cache, self.params[0], self.geom, grad)
         return grad_x
 
 
@@ -220,12 +139,13 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train, rng):
-        out = relu_forward(x)
+        out = np.maximum(x, 0)
         self._cache = out if train else None  # the next layer's input, kept anyway
         return out
 
     def backward(self, grad):
-        return relu_backward(self._cache, grad)
+        # out = relu(x) is > 0 exactly where x is; the subgradient at 0 is 0
+        return grad * (self._cache > 0)
 
 
 class Dense(Layer):
@@ -253,25 +173,32 @@ class Dense(Layer):
             weights = _he_uniform(rng, (d, self.units), d, np.float32)
         bias = np.zeros(self.units, dtype=np.float32)
         self.params = [weights, bias]
-        self.grads = [np.zeros_like(weights), np.zeros_like(bias)]
         return (self.units,)
 
     def forward(self, x, train, rng):
+        weights, bias = self.params
+        if x.shape[-1] != weights.shape[0]:
+            raise ShapeError(
+                f"dense input axis ({x.shape[-1]}) does not match weight rows ({weights.shape[0]})"
+            )
         self._cache = x if train else None
-        return dense_forward(x, self.params[0], self.params[1])
+        return x @ weights + bias
 
     def backward(self, grad):
-        grad_x, grad_w, grad_b = dense_backward(self._cache, self.params[0], grad)
+        # the last step's gradients go first and the input gradient is made last, which
+        # lowers the peak memory of a training step
+        self.grads = []
+        grad_w = self._cache.T @ grad
         if self.l2_penalty:
-            grad_w = grad_w + 2.0 * self.l2_penalty * self.params[0]
-        self.grads[0][...] = grad_w
-        self.grads[1][...] = grad_b
-        return grad_x
+            grad_w += 2.0 * self.l2_penalty * self.params[0]
+        self.grads = [grad_w, grad.sum(axis=0)]
+        return grad @ self.params[0].T
 
-    def l2_terms(self):
-        if self.l2_penalty:
-            return [(self.l2_penalty, self.params[0])]
-        return []
+    def penalty(self):
+        """l2_penalty * sum(W^2), summed in float64; 0.0 without reading W when unpenalized."""
+        if not self.l2_penalty:
+            return 0.0
+        return self.l2_penalty * float(np.sum(np.square(self.params[0], dtype=np.float64)))
 
 
 class Dropout(Layer):
@@ -284,12 +211,23 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, train, rng):
-        out, mask = dropout_forward(x, self.rate, train, rng)
-        self._cache = mask
-        return out
+        """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
+
+        Inference mode is the identity, so training-time expectations match
+        inference activations. The cached mask already carries the survivor
+        scaling and is None in inference mode.
+        """
+        if not train or self.rate == 0.0:
+            self._cache = None
+            return x
+        # drawn in [N,C,H,W] order for an image batch, so the layout does not change
+        # which units a seed drops
+        keep = np.moveaxis(rng.random(np.moveaxis(x, -1, 1).shape), 1, -1) >= self.rate
+        self._cache = keep.astype(x.dtype, order="C") / (1.0 - self.rate)
+        return x * self._cache
 
     def backward(self, grad):
-        return dropout_backward(self._cache, grad)
+        return grad if self._cache is None else grad * self._cache
 
 
 class Flatten(Layer):
@@ -301,8 +239,9 @@ class Flatten(Layer):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train, rng):
+        """Each sample of an [N,H,W,C] batch as a row in [C,H,W] order, as dense weights expect."""
         self._cache = x.shape if train else None
-        return flatten(x)
+        return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
 
     def backward(self, grad):
         n, h, w, c = self._cache
@@ -318,12 +257,20 @@ class Softmax(Layer):
         return in_shape
 
     def forward(self, x, train, rng):
-        probs = softmax_forward(x)
+        """Row-wise softmax with max-subtraction for overflow safety."""
+        if not np.all(np.isfinite(x)):
+            raise ValueError("softmax input contains non-finite values")
+        shifted = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=-1, keepdims=True)
         self._cache = probs if train else None
         return probs
 
     def backward(self, grad):
-        return softmax_backward(self._cache, grad)
+        """Jacobian-vector product of softmax: p * (g - <g, p>)."""
+        probs = self._cache
+        inner = (grad * probs).sum(axis=-1, keepdims=True)
+        return probs * (grad - inner)
 
 
 LAYER_KINDS = {

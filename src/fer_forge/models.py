@@ -17,7 +17,7 @@ import numpy as np
 
 from . import layers as L
 from .data import NUM_CLASSES
-from .layers import LayerSpec, ShapeError, cross_entropy_loss, softmax_xent_grad
+from .layers import LayerSpec, ShapeError, cross_entropy_loss
 from .seeding import derive_seed
 
 MAGIC = b"FEMO"
@@ -96,9 +96,6 @@ class Network:
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.parameters()))
 
-    def l2_terms(self):
-        return [term for layer in self.layers for term in layer.l2_terms()]
-
     def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
         """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
         if x.shape[1:] != self.input_shape:
@@ -118,14 +115,16 @@ class Network:
         return self.forward(image[None], train=False)[0]
 
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
-        """Mean cross-entropy over the batch; fills every layer's grads.
+        """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax.
         """
         probs = self.forward(x, train=True, rng=rng)
-        loss = cross_entropy_loss(probs, target_onehot, self.l2_terms())
-        grad = softmax_xent_grad(probs, target_onehot) / probs.shape[0]
+        loss = cross_entropy_loss(probs, target_onehot)
+        for layer in self.layers:
+            loss += layer.penalty()
+        grad = (probs - target_onehot) / probs.shape[0]
         for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)
         return loss, probs

@@ -85,6 +85,40 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, dataset_csv, face_pgm,
     assert not out.exists()
 
 
+WRONG_KIND_OUTPUTS = [  # argv ({data}, {file}, {dir} filled in), the path stderr names
+    pytest.param("train --model tree --data {data} --out {file}/sub", "{file}/sub",
+                 id="train-out-under-a-file"),
+    pytest.param("sweep --model tree --data {data} --out {file}", "{file}", id="sweep-out-a-file"),
+    pytest.param("histogram --data {data} --out {dir}", "{dir}", id="histogram-out-a-directory"),
+]
+
+
+@pytest.mark.parametrize("argv,path", WRONG_KIND_OUTPUTS)
+def test_output_path_of_the_wrong_kind_exits_2(tmp_path, dataset_csv, capsys, argv, path):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("a file\n")
+    fill = {"data": dataset_csv, "file": taken, "dir": tmp_path}
+    assert main(argv.format(**fill).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path.format(**fill) in err
+
+
+@pytest.mark.parametrize("command,line", [
+    ("train", "cell = ffnn,adam,6,1,0.001,0"),
+    ("sweep", "lr = 0.01"),
+    ("sweep", "batch = 6"),
+    ("sweep", "optimizer = sgd"),
+], ids=["train-cell", "sweep-lr", "sweep-batch", "sweep-optimizer"])
+def test_manifest_key_of_another_command_exits_2(tmp_path, dataset_csv, capsys, command, line):
+    manifest = tmp_path / "run.manifest"
+    manifest.write_text(f"model = tree\n{line}\n")
+    out = tmp_path / "o"
+    assert run(command, "--manifest", str(manifest), "--data", dataset_csv, "--out", str(out)) == 2
+    key = line.split(" =")[0]
+    assert f"{manifest}:2: unknown key {key!r} for {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_manifest_value_exits_2(tmp_path, dataset_csv, capsys):
     manifest = tmp_path / "run.manifest"
     manifest.write_text(f"model = ffnn\ndata = {dataset_csv}\nout = {tmp_path / 'o'}\nbatch = 0\n")
@@ -169,29 +203,33 @@ class TestTrainCommand:
 class TestManifestParsing:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.manifest"
-        path.write_text("# comment\nmodel = ffnn\nlr = 0.001\ncell = a\ncell = b\n")
-        parsed = parse_manifest(str(path))
+        path.write_text("# comment\nmodel = ffnn\nlr = 0.001\n")
+        parsed = parse_manifest(str(path), "train")
         assert parsed["model"] == "ffnn"
         assert parsed["lr"] == 0.001
-        assert parsed["cell"] == ["a", "b"]
+        path.write_text("# comment\nmodel = ffnn\ncell = a\ncell = b\n")
+        assert parse_manifest(str(path), "sweep") == {"model": "ffnn", "cell": ["a", "b"]}
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "m.manifest"
         path.write_text("model = ffnn\nmodel = tree\n")
         with pytest.raises(Exception, match="duplicate"):
-            parse_manifest(str(path))
+            parse_manifest(str(path), "train")
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "m.manifest"
         path.write_text("model ffnn\n")
         with pytest.raises(Exception, match="key = value"):
-            parse_manifest(str(path))
+            parse_manifest(str(path), "train")
 
     def test_every_key_is_a_train_or_sweep_flag(self):
+        # each command accepts only keys that one of its own flags sets, or sweep's cell
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for name in ("train", "sweep") for a in commands.choices[name]._actions}
-        assert set(MANIFEST_KEYS) <= dests
+        assert set(MANIFEST_KEYS) == {"train", "sweep"}
+        for name, keys in MANIFEST_KEYS.items():
+            dests = {a.dest for a in commands.choices[name]._actions}
+            assert set(keys) - dests == ({"cell"} if name == "sweep" else set()), name
 
     def test_default_sweep_grid_ships_with_package(self):
         grid = load_default_grid()

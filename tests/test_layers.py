@@ -6,70 +6,71 @@ import pytest
 
 from fer_forge import layers as L
 from fer_forge.gradcheck import check_layer_detailed, fd_gradient, relative_error
-from fer_forge.layers import (
-    LayerSpec,
-    cross_entropy_loss,
-    dense_backward,
-    dense_forward,
-    dropout_forward,
-    flatten,
-    relu_backward,
-    relu_forward,
-    softmax_backward,
-    softmax_forward,
-    softmax_xent_grad,
-)
+from fer_forge.layers import LayerSpec, cross_entropy_loss
+from fer_forge.models import Network
 from fer_forge.tensor import ShapeError
+
+
+def forward(layer, x, train=False, seed=0):
+    return layer.forward(x, train, np.random.default_rng(seed))
+
+
+def dense_with(weights, bias):
+    layer = L.Dense(weights.shape[1])
+    layer.params = [weights, bias]
+    return layer
 
 
 class TestReLU:
     def test_examples(self):
-        assert np.array_equal(relu_forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-        assert not relu_forward(np.array([-3.0, -0.5, -1e-9])).any()
+        assert np.array_equal(forward(L.ReLU(), np.array([[-1.0, 0.0, 2.0]])), [[0.0, 0.0, 2.0]])
+        assert not forward(L.ReLU(), np.array([[-3.0, -0.5, -1e-9]])).any()
 
     def test_backward_subgradient(self):
-        grad = relu_backward(np.array([-1.0, 2.0]), np.array([5.0, 7.0]))
-        assert np.array_equal(grad, [0.0, 7.0])
+        layer = L.ReLU()
+        forward(layer, np.array([[-1.0, 2.0]]), train=True)
+        assert np.array_equal(layer.backward(np.array([[5.0, 7.0]])), [[0.0, 7.0]])
 
     def test_zero_input_gets_zero_gradient(self):
-        grad = relu_backward(np.array([0.0]), np.array([3.0]))
-        assert np.array_equal(grad, [0.0])
+        layer = L.ReLU()
+        forward(layer, np.array([[0.0]]), train=True)
+        assert np.array_equal(layer.backward(np.array([[3.0]])), [[0.0]])
 
 
 class TestSoftmax:
     def test_uniform_over_seven_zeros(self):
-        out = softmax_forward(np.zeros(7))
+        out = forward(L.Softmax(), np.zeros((1, 7)))
         assert np.allclose(out, 1.0 / 7.0)
 
     def test_large_symmetric_logits_stable(self):
-        out = softmax_forward(np.array([1000.0, 1000.0]))
-        assert np.allclose(out, [0.5, 0.5])
+        out = forward(L.Softmax(), np.array([[1000.0, 1000.0]]))
+        assert np.allclose(out, [[0.5, 0.5]])
         assert np.isfinite(out).all()
 
     def test_closed_form_quarter_three_quarters(self):
-        out = softmax_forward(np.array([0.0, math.log(3.0)]))
-        assert np.allclose(out, [0.25, 0.75])
+        out = forward(L.Softmax(), np.array([[0.0, math.log(3.0)]]))
+        assert np.allclose(out, [[0.25, 0.75]])
 
     def test_sums_to_one_and_open_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            out = softmax_forward(rng.normal(0, 5, size=7))
+            out = forward(L.Softmax(), rng.normal(0, 5, size=(1, 7)))
             assert abs(out.sum() - 1.0) < 1e-6
             assert ((out > 0) & (out < 1)).all()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            softmax_forward(np.array([1.0, np.nan]))
+            forward(L.Softmax(), np.array([[1.0, np.nan]]))
 
 
 class TestDense:
     def test_identity_weights(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(dense_forward(x, np.eye(3), np.zeros(3)), x)
+        x = np.array([[1.0, -2.0, 3.0]])
+        assert np.array_equal(forward(dense_with(np.eye(3), np.zeros(3)), x), x)
 
     def test_hand_arithmetic(self):
-        out = dense_forward(np.array([1.0, 2.0]), np.array([[1.0], [1.0]]), np.array([3.0]))
-        assert np.array_equal(out, [6.0])
+        layer = dense_with(np.array([[1.0], [1.0]]), np.array([3.0]))
+        assert np.array_equal(forward(layer, np.array([[1.0, 2.0]])), [[6.0]])
 
     def test_backward_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -77,57 +78,62 @@ class TestDense:
         w = rng.standard_normal((5, 3))
         b = rng.standard_normal(3)
         proj = rng.standard_normal((2, 3))
+        layer = dense_with(w, b)
 
         def loss():
-            return float(np.sum(dense_forward(x, w, b) * proj))
+            return float(np.sum(forward(layer, x) * proj))
 
-        gx, gw, gb = dense_backward(x, w, proj)
+        forward(layer, x, train=True)
+        gx = layer.backward(proj)
+        gw, gb = layer.grads
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-6
         assert relative_error(gw, fd_gradient(loss, w)) < 1e-6
         assert relative_error(gb, fd_gradient(loss, b)) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dense_forward(np.zeros(4), np.zeros((5, 2)), np.zeros(2))
+            forward(dense_with(np.zeros((5, 2)), np.zeros(2)), np.zeros((1, 4)))
 
 
 class TestDropout:
     def test_rate_zero_identity_both_modes(self):
-        x = np.random.default_rng(2).random(100)
+        x = np.random.default_rng(2).random((1, 100))
         for train in (True, False):
-            out, mask = dropout_forward(x, 0.0, train, 0)
-            assert np.array_equal(out, x)
-            assert mask is None
+            layer = L.Dropout(0.0)
+            assert np.array_equal(forward(layer, x, train), x)
+            assert layer._cache is None
 
     def test_infer_mode_is_identity(self):
-        x = np.random.default_rng(3).random(50)
-        out, mask = dropout_forward(x, 0.7, False, 0)
-        assert out is x
-        assert mask is None
+        x = np.random.default_rng(3).random((1, 50))
+        layer = L.Dropout(0.7)
+        assert forward(layer, x) is x
+        assert layer._cache is None
 
     def test_expectation_preserved(self):
         x = np.ones((1, 10_000))
-        out, _ = dropout_forward(x, 0.5, True, 42)
+        out = forward(L.Dropout(0.5), x, train=True, seed=42)
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_survivors_scaled(self):
         x = np.ones((1, 1000))
-        out, mask = dropout_forward(x, 0.25, True, 7)
+        layer = L.Dropout(0.25)
+        out = forward(layer, x, train=True, seed=7)
         kept = out[out != 0]
         assert np.allclose(kept, 1.0 / 0.75)
-        assert np.array_equal(out, mask)
+        assert np.array_equal(out, layer._cache)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            dropout_forward(np.ones(3), 1.0, True, 0)
+            L.Dropout(1.0)
 
     def test_image_batch_drops_the_units_of_a_channels_first_draw(self):
         # the mask is drawn in [N,C,H,W] order: the same seed on the
         # channels-last batch zeroes the units of that draw
         x = np.random.default_rng(8).random((3, 2, 5, 4)) + 1.0  # [N,C,H,W], no zeros
         keep = np.random.default_rng(9).random(x.shape) >= 0.4
-        out, mask = dropout_forward(x.transpose(0, 2, 3, 1), 0.4, True, 9)
-        assert out.shape == mask.shape == (3, 5, 4, 2) and out.flags.c_contiguous
+        layer = L.Dropout(0.4)
+        out = forward(layer, x.transpose(0, 2, 3, 1), train=True, seed=9)
+        assert out.shape == layer._cache.shape == (3, 5, 4, 2) and out.flags.c_contiguous
         assert np.array_equal(out.transpose(0, 3, 1, 2) != 0, keep)
         assert np.array_equal(out.transpose(0, 3, 1, 2), x * (keep / 0.6))
 
@@ -137,20 +143,29 @@ class TestFlatten:
 
     def test_architecture_length(self):
         x = np.zeros((2, 7, 7, 256))
-        assert flatten(x).shape == (2, 12544)
+        assert forward(L.Flatten(), x).shape == (2, 12544)
 
     def test_degenerate(self):
-        assert flatten(np.ones((1, 1, 1, 1))).shape == (1, 1)
+        assert forward(L.Flatten(), np.ones((1, 1, 1, 1))).shape == (1, 1)
 
     def test_round_trip(self):
         layer = L.Flatten()
         x = np.random.default_rng(4).random((2, 4, 5, 3))
-        out = layer.forward(x, True, np.random.default_rng(0))
+        out = forward(layer, x, train=True)
         assert np.array_equal(layer.backward(out), x)
 
     def test_row_major_order(self):
         x = np.arange(24).reshape(1, 2, 3, 4)  # [C,H,W] order: arange of the NCHW batch
-        assert np.array_equal(flatten(x.transpose(0, 2, 3, 1)), np.arange(24).reshape(1, 24))
+        out = forward(L.Flatten(), x.transpose(0, 2, 3, 1))
+        assert np.array_equal(out, np.arange(24).reshape(1, 24))
+
+
+def one_dense_network(l2_penalty):
+    """Flatten -> dense(7) -> softmax on 1x2x2 images, weights 0.5, bias 0."""
+    net = Network([LayerSpec("flatten"), LayerSpec("dense", {"units": 7, "l2_penalty": l2_penalty}),
+                   LayerSpec("softmax")], input_shape=(1, 2, 2))
+    net.layers[1].params[0][...] = 0.5
+    return net
 
 
 class TestCrossEntropy:
@@ -166,10 +181,13 @@ class TestCrossEntropy:
         assert abs(cross_entropy_loss(probs, target) - math.log(7.0)) < 1e-9
 
     def test_l2_term_hand_arithmetic(self):
-        probs = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        target = probs.copy()
-        loss = cross_entropy_loss(probs, target, [(0.001, np.array([1.0, 2.0]))])
-        assert abs(loss - 0.005) < 1e-12
+        # equal logits give uniform probabilities (-log p = ln 7); sum(W^2) = 28 * 0.25 = 7
+        net = one_dense_network(0.001)
+        x = np.random.default_rng(0).random((2, 1, 2, 2)).astype(np.float32)
+        target = np.eye(7, dtype=np.float32)[[1, 4]]
+        loss, probs = net.loss_and_grad(x, target)
+        assert loss == cross_entropy_loss(probs, target) + 0.001 * 7.0
+        assert abs(loss - (math.log(7.0) + 0.007)) < 1e-6
 
     def test_degenerate_prob_clamped_and_logged(self, caplog):
         probs = np.array([1.0, 0.0])
@@ -192,27 +210,27 @@ class TestFusedSoftmaxXent:
     def test_fused_equals_chained_jacobian(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            logits = rng.normal(0, 2, size=7)
-            probs = softmax_forward(logits)
-            target = np.zeros(7)
-            target[rng.integers(0, 7)] = 1.0
+            layer = L.Softmax()
+            probs = forward(layer, rng.normal(0, 2, size=(1, 7)), train=True)
+            target = np.zeros((1, 7))
+            target[0, rng.integers(0, 7)] = 1.0
             # d(-log p_true)/d probs chained through the softmax Jacobian
-            dprobs = -target / probs
-            chained = softmax_backward(probs, dprobs)
-            fused = softmax_xent_grad(probs, target)
-            assert np.abs(chained - fused).max() < 1e-6
+            chained = layer.backward(-target / probs)
+            assert np.abs(chained - (probs - target)).max() < 1e-6
 
     def test_fused_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        logits = rng.normal(0, 1, size=7)
-        target = np.zeros(7)
-        target[2] = 1.0
+        # the network's loss and parameter gradients, L2 term included, in float64
+        net = one_dense_network(0.001)
+        net.layers[1].params = [np.random.default_rng(6).normal(0, 1, (4, 7)), np.zeros(7)]
+        x = np.random.default_rng(7).random((2, 1, 2, 2))
+        target = np.eye(7)[[2, 5]]
 
         def loss():
-            return cross_entropy_loss(softmax_forward(logits), target)
+            return net.loss_and_grad(x, target)[0]
 
-        fused = softmax_xent_grad(softmax_forward(logits), target)
-        assert relative_error(fused, fd_gradient(loss, logits)) < 1e-6
+        loss()
+        for analytic, param in zip(net.gradients(), net.parameters()):
+            assert relative_error(analytic, fd_gradient(loss, param)) < 1e-6
 
 
 class TestAllLayerKindsFiniteDifferences:
@@ -239,15 +257,11 @@ class TestAllLayerKindsFiniteDifferences:
         assert err < 1e-5
 
     def test_l2_gradient_is_two_lambda_w(self):
-        rng = np.random.default_rng(7)
-        w = rng.standard_normal((4, 3))
-        penalty = 0.001
-
-        def l2_loss():
-            return penalty * float(np.sum(w * w))
-
-        numeric = fd_gradient(l2_loss, w)
-        assert relative_error(2.0 * penalty * w, numeric) < 1e-6
+        w = np.random.default_rng(7).standard_normal((4, 3))
+        layer = dense_with(w, np.zeros(3))
+        layer.l2_penalty = 0.001
+        numeric = fd_gradient(layer.penalty, w)
+        assert relative_error(2.0 * 0.001 * w, numeric) < 1e-6
 
 
 class TestRetainedCaches:
@@ -280,7 +294,7 @@ class TestRetainedCaches:
         out = layer.forward(x, True, np.random.default_rng(0))
         assert layer._cache is out
         grad = np.random.default_rng(5).standard_normal(x.shape).astype(np.float32)
-        assert np.array_equal(layer.backward(grad), relu_backward(x, grad))
+        assert np.array_equal(layer.backward(grad), grad * (x > 0))
 
     KINDS = {  # every layer kind with a per-sample input shape it accepts
         "conv2d": ({"filters": 4}, (5, 5, 2)),

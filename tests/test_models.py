@@ -199,6 +199,15 @@ class TestPersistence:
         x = np.random.default_rng(6).random((1, 48, 48), dtype=np.float32)
         assert np.array_equal(net.predict(x), loaded.predict(x))
 
+    def test_no_gradient_arrays_before_the_first_backward(self, tmp_path):
+        built = build_simple_cnn(seed=7)
+        loaded = load_model(self._save(tmp_path, built))
+        assert built.gradients() == [] and loaded.gradients() == []
+        x = np.random.default_rng(6).random((2, 1, 48, 48), dtype=np.float32)
+        loaded.loss_and_grad(x, np.eye(7, dtype=np.float32)[[0, 3]])
+        params = loaded.parameters()
+        assert [(g.shape, g.dtype) for g in loaded.gradients()] == [(p.shape, p.dtype) for p in params]
+
     def test_bad_magic(self, tmp_path):
         net = build_feedforward(hidden1=8, hidden2=8, seed=0)
         path = self._save(tmp_path, net)

@@ -53,12 +53,16 @@ def test_sweep_parses_the_dataset_once(tmp_path, dataset_csv, monkeypatch):
     assert calls == [dataset_csv]
 
 
-def test_process_pool_sweep_matches_serial(tmp_path, dataset_csv, monkeypatch):
+def test_process_pool_sweep_matches_serial(tmp_path, dataset_csv, monkeypatch, capsys):
     code, serial = two_cell_sweep(tmp_path, dataset_csv, "serial")
     assert code == 0
+    serial_stdout = capsys.readouterr().out
     monkeypatch.setenv("FER_FORGE_THREADS", "2")
     code, pooled = two_cell_sweep(tmp_path, dataset_csv, "pooled")
     assert code == 0
+    # the cells' stop lines come back from the workers and print in cell order
+    assert serial_stdout.startswith("stop_reason=")
+    assert capsys.readouterr().out == serial_stdout
     expected = (serial / "sweep_results.csv").read_bytes()
     assert expected.count(b"\n") == 3 and b",,\n" not in expected  # two scored cells
     assert (pooled / "sweep_results.csv").read_bytes() == expected
