@@ -55,26 +55,30 @@ def parse_manifest(path: str, command: str) -> dict:
         raise UsageError(f"manifest not found: {path}")
     keys = MANIFEST_KEYS[command]
     settings: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_num, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_num}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in keys:
-                raise UsageError(f"{path}:{line_num}: unknown key {key!r} for {command}")
-            if key == "cell":
-                settings.setdefault("cell", []).append(value)
-                continue
-            if key in settings:
-                raise UsageError(f"{path}:{line_num}: duplicate key {key!r}")
-            try:
-                settings[key] = keys[key](value)
-            except ValueError:
-                raise UsageError(f"{path}:{line_num}: bad value {value!r} for {key}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise UsageError(D.first_non_utf8(path)) from None
+    for line_num, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_num}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise UsageError(f"{path}:{line_num}: unknown key {key!r} for {command}")
+        if key == "cell":
+            settings.setdefault("cell", []).append(value)
+            continue
+        if key in settings:
+            raise UsageError(f"{path}:{line_num}: duplicate key {key!r}")
+        try:
+            settings[key] = keys[key](value)
+        except ValueError:
+            raise UsageError(f"{path}:{line_num}: bad value {value!r} for {key}") from None
     return settings
 
 
@@ -91,6 +95,16 @@ def _require_file(path: str | None, what: str) -> str:
     if not os.path.isfile(path):
         raise UsageError(f"{what} not found: {path}")
     return path
+
+
+def _load_pipeline_model(path: str | None) -> M.Network:
+    """A saved model that takes the pipeline's [1,48,48] images and scores its 7 emotions."""
+    net = M.load_model(_require_file(path, "model file"))
+    if (net.input_shape, net.num_classes) != (M.INPUT_SHAPE, D.NUM_CLASSES):
+        raise UsageError(f"model file {path} takes input {list(net.input_shape)} and gives "
+                         f"{net.num_classes} classes; the pipeline needs input "
+                         f"{list(M.INPUT_SHAPE)} and {D.NUM_CLASSES} classes")
+    return net
 
 
 def _load_split(data_path: str, seed: int):
@@ -267,9 +281,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model_path = _require_file(args.model_file, "model file")
+    net = _load_pipeline_model(args.model_file)
     data_path = _require_file(args.data, "dataset")
-    net = M.load_model(model_path)
     _, test_ds = _load_split(data_path, args.seed if args.seed is not None else DEFAULT_SEED)
     if len(test_ds) == 0:
         raise UsageError("dataset has no test records")
@@ -296,9 +309,8 @@ def _image_to_input(image: np.ndarray) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
-    model_path = _require_file(args.model_file, "model file")
+    net = _load_pipeline_model(args.model_file)
     image_path = _require_file(args.image, "image")
-    net = M.load_model(model_path)
     probs = net.predict(_image_to_input(fd.read_pnm(image_path)))
     ranked = sorted(zip(D.EMOTION_NAMES, probs), key=lambda kv: (-kv[1], kv[0]))
     for name, p in ranked:
@@ -316,7 +328,7 @@ def _print_scan_row(scale, size, windows, survivors):
 def cmd_detect(args) -> int:
     cascade_path = _require_file(args.cascade, "cascade file")
     image_path = _require_file(args.image, "image")
-    net = M.load_model(_require_file(args.model_file, "model file")) if args.model_file else None
+    net = _load_pipeline_model(args.model_file) if args.model_file else None
     cascade = fd.load_cascade(cascade_path)
     image = fd.read_pnm(image_path)
     gray = fd.to_grayscale(image)
@@ -353,7 +365,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_histogram(args) -> int:
     data_path = _require_file(args.data, "dataset")
     records = D.parse_fer_csv(data_path)
-    csv_text = D.histogram_csv(D.LabeledDataset.from_records(records))
+    csv_text = D.histogram_csv([record.emotion for record in records])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -460,3 +472,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

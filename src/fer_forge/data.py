@@ -75,9 +75,24 @@ def parse_fer_csv(source: str | IO[str]) -> list[FerRecord]:
     silently skipped.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return _parse_rows(csv.reader(fh))
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                return _parse_rows(csv.reader(fh))
+        except UnicodeDecodeError:
+            raise DataFormatError(first_non_utf8(source)) from None
     return _parse_rows(csv.reader(source))
+
+
+def first_non_utf8(path: str) -> str:
+    """``path:line: not UTF-8: ...`` for the first byte of a file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for line_num, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (f"{path}:{line_num}: not UTF-8: byte 0x{line[exc.start]:02x} "
+                        f"at column {exc.start + 1}")
+    return f"{path}: not UTF-8"
 
 
 def _parse_rows(reader) -> list[FerRecord]:
@@ -156,8 +171,9 @@ def class_histogram(dataset: LabeledDataset) -> np.ndarray:
     return np.bincount(dataset.labels, minlength=NUM_CLASSES)
 
 
-def histogram_csv(dataset: LabeledDataset) -> str:
-    counts = class_histogram(dataset)
+def histogram_csv(labels) -> str:
+    """``class,name,count`` rows of how many of ``labels`` each class holds."""
+    counts = np.bincount(labels, minlength=NUM_CLASSES)
     lines = ["class,name,count"]
     lines += [f"{i},{EMOTION_NAMES[i]},{int(c)}" for i, c in enumerate(counts)]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
 """Deterministic seed fan-out.
 
-Every source of randomness in the toolkit (weight init, shuffling, dropout,
-feature subsampling) draws its seed from a single base seed through
-``derive_seed``, so runs are reproducible while the streams stay independent.
+Every source of randomness in the toolkit (weight init, shuffling,
+dropout) draws its seed from a single base seed through ``derive_seed``,
+so runs are reproducible while the streams stay independent.
 """
 
 DEFAULT_SEED = 42  # the base seed of every run, config and check not given one

@@ -5,15 +5,15 @@ the midpoints of consecutive distinct sorted feature values, scanned in
 (feature_index, threshold) order with first-best-wins tie breaking, so a
 fit is fully deterministic for a given dataset.
 
-The split search uses presorted attribute lists (SLIQ: Mehta, Agrawal and
-Rissanen, EDBT 1996), vectorised over features. Each feature is sorted
-once per fit into one [features, rows] row-order matrix; a node owns a
-column range of it, and a split stably partitions that range into the
-left rows, then the right rows. At a node, exact integer prefix sums
-score every cut of a block of features at once; only the cuts within a
-rounding margin of the best are scored again with the float Gini formula
-of a per-feature scan, whose tie rules then pick the split. So the tree
-is the one the per-feature scan grows (kept in ``tests/tree_oracle.py``).
+The split search is vectorised over features. Each feature's values are
+coded once per fit as dense 8-bit ranks (16-bit past 256 levels, 32-bit
+past 65,536), and a node sorts its rows by code with numpy's stable sort,
+ties in row order: a radix sort, O(rows) per feature, for 8- and 16-bit
+codes. Exact integer prefix sums then score every cut of a block of
+features at once; only the cuts within a rounding margin of the best are
+scored again with the float Gini formula of a per-feature scan, whose tie
+rules then pick the split. So the tree is the one the per-feature scan
+grows (kept in ``tests/tree_oracle.py``).
 
 Trees serialize to a depth-first text format, one node per line:
 
@@ -115,19 +115,18 @@ def _lowest_gini(values: np.ndarray, labels: np.ndarray, parent_counts: np.ndarr
 
 
 class _SplitSearch:
-    """The presorted attribute lists of one fit and the work buffers of its nodes.
+    """The value codes of one fit and the work buffers of its nodes.
 
-    ``order[f, lo:hi]`` holds the rows of the node that owns ``[lo, hi)``
-    sorted by feature ``f``, ties in row order, as a stable sort of the
-    node's rows gives. ``codes[f, r]`` is the dense rank of row ``r``'s
-    value among the distinct values of feature ``f``, so two rows hold the
-    same value exactly when their codes are equal.
+    ``codes[f, r]`` is the dense rank of row ``r``'s value among the
+    distinct values of feature ``f``, so two rows hold the same value
+    exactly when their codes are equal. A node is the ascending array of
+    its rows; a stable sort of their codes lists them by value, ties in
+    row order.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n, n_features = x.shape
         self.x, self.y = x, y
-        self.order = np.empty((n_features, n), np.int16 if n < 1 << 15 else np.int32)
         self.codes = np.empty((n_features, n), np.uint8)
         for a, b in _blocks(n_features, n):
             values = np.ascontiguousarray(_pixel_units(x[:, a:b]).T)
@@ -139,23 +138,17 @@ class _SplitSearch:
             if levels > np.iinfo(self.codes.dtype).max + 1:
                 self.codes = self.codes.astype(np.uint16 if levels <= 1 << 16 else np.uint32)
             np.put_along_axis(self.codes[a:b], order, ranks, axis=1)
-            self.order[a:b] = order
-        # flat offset of each feature's row in ``order`` and ``codes``
-        self._offsets = (np.arange(n_features, dtype=np.intp) * n)[:, None]
         size = max(_BLOCK, n)
-        self._ints = [np.empty(size, np.intp) for _ in range(4)]
-        self._rows = np.empty(size, self.order.dtype)
-        self._codes = np.empty(size, self.codes.dtype)
+        self._ints = [np.empty(size, np.intp) for _ in range(3)]
         self._flags = np.empty(size, bool)
         self._scores = np.empty(size, np.float64)
         self._feature_best = np.empty(n_features, np.float64)
-        self._goes_left = np.zeros(n, bool)
 
     @staticmethod
     def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
         return buffer[: shape[0] * shape[1]].reshape(shape)
 
-    def _score_block(self, a: int, b: int, lo: int, hi: int, counts: np.ndarray):
+    def _score_block(self, a: int, b: int, rows: np.ndarray, counts: np.ndarray):
         """Best cut score of each feature in [a, b), into ``_feature_best[a:b]``.
 
         With L and R the class counts left and right of a cut after nl of
@@ -167,15 +160,13 @@ class _SplitSearch:
         sum of P[class]. So s*nl*nr = 2n*C + nl*(sum(P^2) - n - 2*X) for C
         the prefix sum of c. A cut between equal values scores -inf.
         """
-        n = hi - lo
+        n = rows.size
         shape = (b - a, n)
-        view = self._view
-        index, labels, work, prefix = (view(buffer, shape) for buffer in self._ints)
-        codes = view(self._codes, shape)
-        np.copyto(index, self.order[a:b, lo:hi])
-        np.take(self.y, index, out=labels, mode="clip")
-        np.add(index, self._offsets[a:b], out=index)
-        np.take(self.codes, index, out=codes, mode="clip")
+        labels, work, prefix = (self._view(buffer, shape) for buffer in self._ints)
+        codes = self.codes[a:b][:, rows]
+        index = np.argsort(codes, axis=1, kind="stable")  # a radix sort of 8- and 16-bit codes
+        codes = np.take_along_axis(codes, index, axis=1)
+        np.take(self.y[rows], index, out=labels, mode="clip")
         # c of every row, into ``index``: a prefix sum of one-hot classes packed
         # into bit lanes of an int64, one lane per class present, each wide
         # enough to count n rows; classes that do not fit share a next word
@@ -206,55 +197,31 @@ class _SplitSearch:
         np.multiply(num, 2 * n, out=num)
         np.add(num, cross, out=num)
         np.add(num, nl * (int(counts @ counts) - n), out=num)
-        scores = view(self._scores, (b - a, n - 1))
+        scores = self._view(self._scores, (b - a, n - 1))
         np.divide(num, (nl * (n - nl)).astype(np.float64), out=scores)
-        no_cut = view(self._flags, (b - a, n - 1))
+        no_cut = self._view(self._flags, (b - a, n - 1))
         np.equal(codes[:, 1:], codes[:, :-1], out=no_cut)
         np.copyto(scores, -np.inf, where=no_cut)
         np.max(scores, axis=1, out=self._feature_best[a:b])
 
-    def best_split(self, lo: int, hi: int, counts: np.ndarray):
-        """Best (gain, feature, threshold) of the node owning [lo, hi), or None."""
-        n = hi - lo
-        for a, b in _blocks(self.order.shape[0], n):
-            self._score_block(a, b, lo, hi, counts)
+    def best_split(self, rows: np.ndarray, counts: np.ndarray):
+        """Best (gain, feature, threshold) of the node holding ``rows``, or None."""
+        n = rows.size
+        for a, b in _blocks(self.codes.shape[0], n):
+            self._score_block(a, b, rows, counts)
         top = self._feature_best.max()
         if top == -np.inf:
             return None
         parent_gini = gini(counts)
         best = None
         for f in np.flatnonzero(self._feature_best >= top - n * _MARGIN):
-            rows = self.order[f, lo:hi]
-            values = _pixel_units(self.x[rows, f])
-            weighted, k = _lowest_gini(values, self.y[rows], counts)
+            ordered = rows[np.argsort(self.codes[f, rows], kind="stable")]
+            values = _pixel_units(self.x[ordered, f])
+            weighted, k = _lowest_gini(values, self.y[ordered], counts)
             gain = parent_gini - weighted
             if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, int(f), float((values[k] + values[k + 1]) / 2.0))
         return best
-
-    def partition(self, lo: int, hi: int, feature: int, threshold: float) -> int:
-        """Stably move the node's rows with ``value <= threshold`` ahead of the
-        others in every feature's order; returns how many rows went left."""
-        rows = self.order[feature, lo:hi]
-        goes_left = _pixel_units(self.x[rows, feature]) <= threshold
-        self._goes_left[rows] = goes_left
-        n, n_left = hi - lo, int(np.count_nonzero(goes_left))
-        # a right row at position j, after `seen` left rows so far, lands at lo + n_left + j - seen
-        right_base = np.arange(lo + n_left, hi + n_left, dtype=np.intp)
-        for a, b in _blocks(self.order.shape[0], n):
-            shape = (b - a, n)
-            rows = self._view(self._rows, shape)
-            index, seen, dest = (self._view(buffer, shape) for buffer in self._ints[:3])
-            left = self._view(self._flags, shape)
-            np.copyto(rows, self.order[a:b, lo:hi])
-            np.copyto(index, rows)
-            np.take(self._goes_left, index, out=left, mode="clip")
-            np.cumsum(left, axis=1, out=seen)
-            np.subtract(right_base, seen, out=dest)
-            np.add(seen, lo - 1, out=dest, where=left)
-            np.add(dest, self._offsets[a:b], out=dest)
-            self.order.put(dest, rows, mode="clip")
-        return n_left
 
 
 def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = None) -> TreeNode:
@@ -279,22 +246,22 @@ def fit_tree(images: np.ndarray, labels: np.ndarray, cfg: TreeConfig | None = No
 
     search = _SplitSearch(x, y)
     root = TreeNode()
-    stack = [(root, 0, x.shape[0])]
+    stack = [(root, np.arange(x.shape[0]))]
     while stack:
-        node, lo, hi = stack.pop()
-        counts = np.bincount(y[search.order[0, lo:hi]], minlength=NUM_CLASSES)
-        if hi - lo < cfg.min_samples_split or counts.max() == hi - lo:
+        node, rows = stack.pop()
+        counts = np.bincount(y[rows], minlength=NUM_CLASSES)
+        if rows.size < cfg.min_samples_split or counts.max() == rows.size:
             _make_leaf(node, counts)
             continue
-        best = search.best_split(lo, hi, counts)
+        best = search.best_split(rows, counts)
         if best is None:
             _make_leaf(node, counts)
             continue
         _, node.feature_index, node.threshold = best
-        mid = lo + search.partition(lo, hi, node.feature_index, node.threshold)
+        goes_left = _pixel_units(x[rows, node.feature_index]) <= node.threshold
         node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.right, mid, hi))
-        stack.append((node.left, lo, mid))
+        stack.append((node.right, rows[~goes_left]))
+        stack.append((node.left, rows[goes_left]))
     return root
 
 

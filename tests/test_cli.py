@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import (
     reject_all_cascade_doc,
     write_arch_only,
 )
+import fer_forge
 from fer_forge.cli import (
     MANIFEST_KEYS,
     _parse_cell,
@@ -22,7 +25,8 @@ from fer_forge.cli import (
     parse_manifest,
 )
 from fer_forge.facedetect import write_pnm
-from fer_forge.models import build_feedforward, save_model
+from fer_forge.layers import LayerSpec
+from fer_forge.models import Network, build_feedforward, save_model
 
 
 @pytest.fixture
@@ -117,6 +121,39 @@ def test_manifest_key_of_another_command_exits_2(tmp_path, dataset_csv, capsys, 
     key = line.split(" =")[0]
     assert f"{manifest}:2: unknown key {key!r} for {command}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_utf8_manifest_exits_2_naming_the_line(tmp_path, dataset_csv, capsys):
+    manifest = tmp_path / "run.manifest"
+    manifest.write_bytes(b"model = tree\n# caf\xe9\n")
+    assert run("train", "--manifest", str(manifest), "--data", dataset_csv,
+               "--out", str(tmp_path / "o")) == 2
+    assert f"{manifest}:2: not UTF-8: byte 0xe9 at column 6" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+MISFIT_MODELS = {  # name -> (input_shape, num_classes, what stderr names)
+    "three-classes": ((1, 48, 48), 3, "input [1, 48, 48] and gives 3 classes"),
+    "8x8-input": ((1, 8, 8), 7, "input [1, 8, 8] and gives 7 classes"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "detect"])
+@pytest.mark.parametrize("name", sorted(MISFIT_MODELS))
+def test_model_that_does_not_fit_the_pipeline_exits_2(tmp_path, dataset_csv, face_pgm, capsys,
+                                                      command, name):
+    input_shape, classes, named = MISFIT_MODELS[name]
+    path = str(tmp_path / "misfit.femo")
+    save_model(Network([LayerSpec("flatten"), LayerSpec("dense", {"units": classes}),
+                        LayerSpec("softmax")], input_shape, classes), path)
+    cascade = tmp_path / "cascade.json"
+    cascade.write_text(json.dumps(accept_all_cascade_doc()))
+    argv = {"eval": ["--data", dataset_csv], "predict": ["--image", face_pgm],
+            "detect": ["--cascade", str(cascade), "--image", face_pgm]}[command]
+    assert run(command, "--model-file", path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"model file {path} takes {named}" in err
+    assert "the pipeline needs input [1, 48, 48] and 7 classes" in err
 
 
 def test_bad_manifest_value_exits_2(tmp_path, dataset_csv, capsys):
@@ -339,6 +376,14 @@ class TestGradcheckCommand:
 
 
 class TestHistogramCommand:
+    def test_runs_as_a_module(self, dataset_csv):
+        src = os.path.dirname(os.path.dirname(fer_forge.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "fer_forge.cli", "histogram", "--data",
+                               dataset_csv], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("class,name,count\n0,angry,")
+
     def test_counts(self, dataset_csv, capsys, tmp_path):
         out_file = str(tmp_path / "hist.csv")
         assert run("histogram", "--data", dataset_csv, "--out", out_file) == 0

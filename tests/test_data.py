@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ class TestParse:
         records = parse_fer_csv(str(path))
         assert len(records) == 3
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        text = make_fer_csv(random_rows(3, seed=0)).encode("utf-8")
+        at = text.index(b"\n", text.index(b"\n") + 1) + 3  # line 3, column 3: in the pixels
+        path.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        where = re.escape(str(path))
+        with pytest.raises(DataFormatError, match=f"^{where}:3: not UTF-8: byte 0xff at column 3$"):
+            parse_fer_csv(str(path))
+
     def test_utf8_bom_tolerated(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + make_fer_csv(random_rows(2, seed=8)).encode())
@@ -162,7 +172,7 @@ class TestHistogram:
 
     def test_csv_shape(self):
         records = parse_text(make_fer_csv(random_rows(7, seed=6)))
-        text = histogram_csv(LabeledDataset.from_records(records))
+        text = histogram_csv([r.emotion for r in records])
         lines = text.strip().split("\n")
         assert lines[0] == "class,name,count"
         assert len(lines) == 8

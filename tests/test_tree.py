@@ -218,6 +218,17 @@ class TestMatchesPerFeatureScan:
         cfg = TreeConfig(min_samples_split=8)
         assert tree_to_lines(fit_tree(x, y, cfg)) == tree_to_lines(tree_oracle.fit_tree(x, y, cfg))
 
+    def test_more_rows_than_int16_and_levels_than_uint16(self):
+        # 70,000 distinct values a feature: 32-bit codes, which sort by comparison
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(70_000, 2))
+        y = rng.integers(0, 7, 70_000)
+        x[:, 0] += y
+        cfg = TreeConfig(min_samples_split=4000)
+        lines = tree_to_lines(fit_tree(x, y, cfg))
+        assert len(lines) > 3
+        assert lines == tree_to_lines(tree_oracle.fit_tree(x, y, cfg))
+
 
 class TestPredict:
     def test_single_leaf_always_majority(self):
