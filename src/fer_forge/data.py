@@ -8,6 +8,7 @@ the file.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -52,11 +53,10 @@ class LabeledDataset:
     def from_records(cls, records: Iterable[FerRecord]) -> "LabeledDataset":
         records = list(records)
         n = len(records)
-        images = np.zeros((n, 1, IMAGE_SIDE, IMAGE_SIDE), dtype=np.float32)
-        labels = np.zeros(n, dtype=np.int64)
-        for i, rec in enumerate(records):
-            images[i, 0] = normalize_pixels(rec.pixels).reshape(IMAGE_SIDE, IMAGE_SIDE)
-            labels[i] = rec.emotion
+        pixels = (np.stack([rec.pixels for rec in records]) if n
+                  else np.zeros((0, PIXELS_PER_IMAGE), dtype=np.uint8))
+        images = normalize_pixels(pixels).reshape(n, 1, IMAGE_SIDE, IMAGE_SIDE)
+        labels = np.array([rec.emotion for rec in records], dtype=np.int64)
         onehots = np.zeros((n, NUM_CLASSES), dtype=np.float32)
         if n:
             onehots[np.arange(n), labels] = 1.0
@@ -64,8 +64,10 @@ class LabeledDataset:
 
 
 def normalize_pixels(pixels: np.ndarray) -> np.ndarray:
-    """Map 0..255 linearly onto [0,1]."""
-    return np.asarray(pixels, dtype=np.float32) / 255.0
+    """Map 0..255 linearly onto [0,1], as a new float32 array."""
+    images = np.array(pixels, dtype=np.float32)
+    images /= 255.0  # in place: a whole dataset takes one float32 copy, not two
+    return images
 
 
 def parse_fer_csv(source: str | IO[str]) -> list[FerRecord]:
@@ -109,35 +111,66 @@ def _parse_rows(reader) -> list[FerRecord]:
     else:
         raise DataFormatError(f"bad header {header!r}, expected {','.join(HEADER)}")
     columns = 3 if has_usage else 2
-    for row_num, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != columns:
-            raise DataFormatError(f"row {row_num}: expected {columns} columns, got {len(row)}")
-        emotion_s, pixel_s = row[0].strip(), row[1]
-        usage = row[2].strip() if has_usage else ""
-        try:
-            emotion = int(emotion_s)
-        except ValueError:
-            raise DataFormatError(f"row {row_num}: non-integer emotion {emotion_s!r}") from None
-        if not 0 <= emotion < NUM_CLASSES:
-            raise DataFormatError(f"row {row_num}: emotion {emotion} outside 0..6")
-        try:
-            pixels = np.array(pixel_s.split(), dtype=np.int32)
-        except ValueError:
-            raise DataFormatError(f"row {row_num}: non-integer pixel value") from None
-        except OverflowError:
-            raise DataFormatError(f"row {row_num}: pixel value outside 0..255") from None
-        if pixels.size != PIXELS_PER_IMAGE:
-            raise DataFormatError(
-                f"row {row_num}: {pixels.size} pixel values, expected {PIXELS_PER_IMAGE}"
-            )
-        if pixels.min() < 0 or pixels.max() > 255:
-            raise DataFormatError(f"row {row_num}: pixel value outside 0..255")
-        if has_usage and usage not in USAGE_TAGS:
-            raise DataFormatError(f"row {row_num}: unknown usage tag {usage!r}")
-        records.append(FerRecord(emotion, pixels.astype(np.uint8), usage))
+    with warnings.catch_warnings():
+        # numpy 1.x warns, where 2.x raises, when fromstring stops short of the text's end
+        warnings.filterwarnings("error", "string or file could not be read", DeprecationWarning)
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != columns:
+                raise DataFormatError(f"row {row_num}: expected {columns} columns, got {len(row)}")
+            emotion_s, pixel_s = row[0].strip(), row[1]
+            usage = row[2].strip() if has_usage else ""
+            try:
+                emotion = int(emotion_s)
+            except ValueError:
+                raise DataFormatError(f"row {row_num}: non-integer emotion {emotion_s!r}") from None
+            if not 0 <= emotion < NUM_CLASSES:
+                raise DataFormatError(f"row {row_num}: emotion {emotion} outside 0..6")
+            pixels = _plain_pixels(pixel_s)
+            if pixels is None:
+                pixels = _validated_pixels(pixel_s, row_num)
+            if has_usage and usage not in USAGE_TAGS:
+                raise DataFormatError(f"row {row_num}: unknown usage tag {usage!r}")
+            records.append(FerRecord(emotion, pixels.astype(np.uint8), usage))
     return records
+
+
+def _plain_pixels(text: str) -> np.ndarray | None:
+    """The pixels of ``text`` if it is plain, else None for ``_validated_pixels`` to judge.
+
+    Plain is 2304 unsigned decimal values in 0..255 between ASCII whitespace,
+    read in one ``np.fromstring`` call. What fromstring misreads is declined:
+    a lone sign reads as 0 or as the next value's sign (the sign test), and
+    whitespace alone reads as one 0 (the count). int64 clips huge values
+    rather than wrapping them into range.
+    """
+    if "+" in text or "-" in text:
+        return None
+    try:
+        pixels = np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if pixels.size != PIXELS_PER_IMAGE or pixels.max() > 255:  # unsigned, so none is < 0
+        return None
+    return pixels
+
+
+def _validated_pixels(text: str, row_num: int) -> np.ndarray:
+    """The pixels of any row ``_plain_pixels`` declines, or the DataFormatError naming it."""
+    try:
+        pixels = np.array(text.split(), dtype=np.int32)
+    except ValueError:
+        raise DataFormatError(f"row {row_num}: non-integer pixel value") from None
+    except OverflowError:
+        raise DataFormatError(f"row {row_num}: pixel value outside 0..255") from None
+    if pixels.size != PIXELS_PER_IMAGE:
+        raise DataFormatError(
+            f"row {row_num}: {pixels.size} pixel values, expected {PIXELS_PER_IMAGE}"
+        )
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise DataFormatError(f"row {row_num}: pixel value outside 0..255")
+    return pixels
 
 
 def split_dataset(

@@ -45,7 +45,9 @@ class Layer:
     """Base layer: parameters, their gradients and a per-forward cache.
 
     ``grads`` holds the parameter gradients the last ``backward`` computed
-    and is empty before the first. ``_cache`` holds what ``backward`` needs
+    and is empty before the first. ``backward`` returns the gradient at the
+    layer's input; a layer with parameters skips it, returning None, when
+    called with ``input_grad=False``. ``_cache`` holds what ``backward`` needs
     from a training forward; a forward with ``train=False`` leaves it None.
     """
 
@@ -107,9 +109,10 @@ class Conv2D(Layer):
         self._cache = x if train else None
         return conv2d(x, self.params[0], self.params[1], self.geom)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.grads = []  # the last step's gradients go first, lowering the step's peak memory
-        grad_x, *self.grads = conv2d_backward(self._cache, self.params[0], self.geom, grad)
+        grad_x, *self.grads = conv2d_backward(self._cache, self.params[0], self.geom, grad,
+                                              input_grad)
         return grad_x
 
 
@@ -184,7 +187,7 @@ class Dense(Layer):
         self._cache = x if train else None
         return x @ weights + bias
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         # the last step's gradients go first and the input gradient is made last, which
         # lowers the peak memory of a training step
         self.grads = []
@@ -192,7 +195,7 @@ class Dense(Layer):
         if self.l2_penalty:
             grad_w += 2.0 * self.l2_penalty * self.params[0]
         self.grads = [grad_w, grad.sum(axis=0)]
-        return grad @ self.params[0].T
+        return grad @ self.params[0].T if input_grad else None
 
     def penalty(self):
         """l2_penalty * sum(W^2), summed in float64; 0.0 without reading W when unpenalized."""

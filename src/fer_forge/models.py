@@ -118,15 +118,19 @@ class Network:
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
-        logits is (probs - target) / batch, injected below the softmax.
+        logits is (probs - target) / batch, injected below the softmax. The
+        backward pass stops at the lowest layer with parameters, which
+        computes no gradient for its input, since nothing reads it.
         """
         probs = self.forward(x, train=True, rng=rng)
         loss = cross_entropy_loss(probs, target_onehot)
         for layer in self.layers:
             loss += layer.penalty()
         grad = (probs - target_onehot) / probs.shape[0]
-        for layer in reversed(self.layers[:-1]):
+        lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
+        for layer in reversed(self.layers[lowest + 1 : -1]):
             grad = layer.backward(grad)
+        self.layers[lowest].backward(grad, input_grad=False)
         return loss, probs
 
     def describe(self) -> dict:

@@ -51,6 +51,12 @@ class Optimizer:
         self.v = [np.zeros_like(p) for p in params] if cfg.kind != "sgd" else []
 
     def step(self, grads: list[np.ndarray]):
+        """One update of every parameter from its gradient, which shares its dtype.
+
+        RMSProp and Adam run the operations of the textbook expressions in
+        their order, each writing into one of two scratch arrays; those live
+        only for this call, at the size of the largest parameter.
+        """
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
@@ -58,17 +64,35 @@ class Optimizer:
         if self.cfg.kind == "sgd":
             for w, g in zip(self.params, grads):
                 w -= lr * g
-        elif self.cfg.kind == "rmsprop":
-            for w, g, v in zip(self.params, grads, self.v):
+            return
+        nbytes = max((w.nbytes for w in self.params), default=0)
+        scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+        for i, (w, g) in enumerate(zip(self.params, grads)):
+            a, b = (s[: w.nbytes].view(w.dtype).reshape(w.shape) for s in scratch)
+            v = self.v[i]
+            if self.cfg.kind == "rmsprop":
+                # v = RHO * v + (1 - RHO) * g^2; w -= lr * g / (sqrt(v) + EPSILON)
                 v *= RHO
-                v += (1.0 - RHO) * np.square(g)
-                w -= lr * g / (np.sqrt(v) + EPSILON)
-        else:
-            for w, g, m, v in zip(self.params, grads, self.m, self.v):
+                np.square(g, out=a)
+                a *= 1.0 - RHO
+                v += a
+                np.multiply(g, lr, out=a)
+                np.sqrt(v, out=b)
+            else:
+                # m = BETA1 * m + (1 - BETA1) * g; v = BETA2 * v + (1 - BETA2) * g^2;
+                # w -= lr * m_hat / (sqrt(v_hat) + EPSILON), the hats bias-corrected
+                m = self.m[i]
                 m *= BETA1
-                m += (1.0 - BETA1) * g
+                np.multiply(g, 1.0 - BETA1, out=a)
+                m += a
                 v *= BETA2
-                v += (1.0 - BETA2) * np.square(g)
-                m_hat = m / (1.0 - BETA1**self.t)
-                v_hat = v / (1.0 - BETA2**self.t)
-                w -= lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+                np.square(g, out=a)
+                a *= 1.0 - BETA2
+                v += a
+                np.divide(m, 1.0 - BETA1**self.t, out=a)
+                a *= lr
+                np.divide(v, 1.0 - BETA2**self.t, out=b)
+                np.sqrt(b, out=b)
+            b += EPSILON
+            a /= b
+            w -= a

@@ -163,13 +163,15 @@ def conv2d_backward(
     kernels: np.ndarray,
     geom: ConvGeometry,
     grad_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a scalar loss through ``conv2d``.
 
     Returns (grad_input, grad_kernels, grad_bias) for the [N,oh,ow,C_out]
     upstream ``grad_out``. grad_kernels correlates the input windows with
     grad_out; grad_input scatters kernel-weighted grad_out back onto the
-    (padded) input.
+    (padded) input. With ``input_grad=False`` grad_input is not computed
+    and is returned as None.
     """
     _check_conv_operands(x, kernels, geom)
     n, h, w, c_in = x.shape
@@ -190,6 +192,8 @@ def conv2d_backward(
         g2 = grad_out.reshape(-1, c_out).astype(dtype, copy=False)
         grad_kernels = (g2.T @ cols).reshape(kernels.shape)
         del cols
+        if not input_grad:
+            return None, grad_kernels, grad_bias
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
         gcols = (g2 @ wmat).reshape(n, oh, ow, c_in, kh, kw)
         gxp = np.zeros_like(xp)
@@ -210,6 +214,8 @@ def conv2d_backward(
         for t, off in enumerate(offsets):
             np.matmul(rows[off : off + used].T, g_used, out=grad_taps[t])
         grad_kernels = grad_taps.reshape(kh, kw, c_in, c_out).transpose(3, 2, 0, 1)
+        if not input_grad:
+            return None, grad_kernels, grad_bias
         # grad_rows[r] = sum_t grid[r - off_t] @ W_t^T, read from the margin
         taps_t = kernels.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)
         gxp = np.empty_like(xp)

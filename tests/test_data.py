@@ -107,6 +107,36 @@ class TestParse:
         assert len(parse_fer_csv(str(path))) == 2
 
 
+def one_row(pixel_text):
+    return parse_text(f"emotion,pixels,Usage\n0,{pixel_text},Training\n")
+
+
+class TestPixelTextPinned:
+    """Rows the bulk pixel parse misreads or refuses, with the validator's verdict."""
+
+    PLAIN = ["7"] * 2303
+
+    @pytest.mark.parametrize("pixel_text,message", [
+        (" ".join(PLAIN + ["+"]), "non-integer pixel value"),
+        (" ".join(PLAIN + ["-"]), "non-integer pixel value"),
+        (" ".join(PLAIN[:2301] + ["1", "-", "2"]), "non-integer pixel value"),
+        ("   ", "0 pixel values, expected 2304"),
+        (" ".join(["65541"] + PLAIN), "pixel value outside 0..255"),
+        (" ".join(["4294967301"] + PLAIN), "pixel value outside 0..255"),
+        (" ".join(["99999999999999999999"] + PLAIN), "pixel value outside 0..255"),
+    ], ids=["lone-plus", "lone-minus", "one-minus-two", "whitespace-only", "65541",
+            "2**32+5", "1e20"])
+    def test_rejected_with_the_validator_message(self, pixel_text, message):
+        with pytest.raises(DataFormatError, match=f"^row 2: {message}$"):
+            one_row(pixel_text)
+
+    @pytest.mark.parametrize("word,value", [("1_0", 10), ("\u0663", 3)])
+    def test_int_literal_forms_accepted(self, word, value):
+        (record,) = one_row(" ".join([word] + self.PLAIN))
+        assert record.pixels.dtype == np.uint8
+        assert record.pixels[0] == value and (record.pixels[1:] == 7).all()
+
+
 class TestSplit:
     def test_usage_partition(self):
         records = parse_text(make_fer_csv(random_rows(12, seed=1)))
@@ -114,6 +144,14 @@ class TestSplit:
         assert len(train) == 4  # every third row is Training
         assert len(test) == 8
         assert len(train) + len(test) == len(records)
+
+    def test_images_are_the_bytes_of_per_record_normalize_pixels(self):
+        records = parse_text(make_fer_csv(random_rows(12, seed=4)))
+        for dataset, training in zip(split_dataset(records), (True, False)):
+            side = [r for r in records if (r.usage == "Training") == training]
+            expected = np.stack([normalize_pixels(r.pixels).reshape(1, 48, 48) for r in side])
+            assert dataset.images.dtype == np.float32
+            assert dataset.images.tobytes() == expected.tobytes()
 
     def test_empty_input(self):
         train, test = split_dataset([])

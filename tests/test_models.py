@@ -183,6 +183,45 @@ class TestPredict:
         assert np.all(np.abs(mean - 1.0 / 7.0) < 0.1)
 
 
+class TestLossAndGrad:
+    """The backward pass stops at the lowest layer with parameters."""
+
+    SPECS = {
+        "conv_first": [LayerSpec("conv2d", {"filters": 4, "kernel_size": 3}), LayerSpec("relu"),
+                       LayerSpec("maxpool2d"), LayerSpec("flatten"),
+                       LayerSpec("dense", {"units": 7}), LayerSpec("softmax")],
+        "dense_after_flatten": [LayerSpec("flatten"), LayerSpec("dense", {"units": 8}),
+                                LayerSpec("relu"), LayerSpec("dense", {"units": 7}),
+                                LayerSpec("softmax")],
+    }
+
+    def batch(self):
+        rng = np.random.default_rng(5)
+        return rng.random((3, 1, 48, 48), dtype=np.float32), np.eye(7, dtype=np.float32)[[0, 4, 6]]
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_gradients_equal_a_backward_through_every_layer(self, name):
+        net = Network(self.SPECS[name], seed=2)
+        x, targets = self.batch()
+        _, probs = net.loss_and_grad(x, targets)
+        skipped = [g.copy() for g in net.gradients()]
+        grad = (probs - targets) / len(x)
+        for layer in reversed(net.layers[:-1]):
+            grad = layer.backward(grad)
+        assert grad.shape == (3, 48, 48, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(skipped, net.gradients()))
+
+    def test_no_layer_below_the_first_parameters_runs_backward(self, monkeypatch):
+        net = Network(self.SPECS["dense_after_flatten"], seed=2)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("flatten backward ran")
+
+        monkeypatch.setattr(net.layers[0], "backward", fail)
+        net.loss_and_grad(*self.batch())
+        assert len(net.gradients()) == 4
+
+
 class TestPersistence:
     def _save(self, tmp_path, net, name="model.femo"):
         path = str(tmp_path / name)

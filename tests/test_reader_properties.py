@@ -1,9 +1,11 @@
-"""Property tests for the cascade and PGM/PPM readers.
+"""Property tests for the cascade, PGM/PPM and FER CSV readers.
 
 Any input either loads or raises the reader's documented error, and
-``fer-forge detect`` exits 0 or 2 on it, never 1.
+``fer-forge detect`` exits 0 or 2 on it, never 1. The CSV reader returns
+what the per-row validator in ``csv_oracle`` returns, or raises its message.
 """
 
+import io
 import json
 
 import numpy as np
@@ -12,8 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import dark_top_cascade_doc
+from csv_oracle import parse_fer_text
 from fer_forge import facedetect as fd
 from fer_forge.cli import main
+from fer_forge.data import PIXELS_PER_IMAGE, DataFormatError, parse_fer_csv
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -145,3 +149,50 @@ def test_bad_cascade_file_exits_2_naming_the_fault(tmp_path, frame, capsys, data
     path.write_bytes(data)
     assert main(["detect", "--cascade", str(path), "--image", frame]) == 2
     assert message in capsys.readouterr().err
+
+
+# what the numpy text parser and str.split disagree on: signs, ASCII and
+# other whitespace, digit separators, a non-ASCII digit, float and hex marks
+PIXEL_ALPHABET = "0123456789+- \t\x0b\x1c\xa0_\u0663.ex"
+noise_words = st.one_of(
+    st.sampled_from(["+", "-", "+5", "-0", "256", "65541", "4294967301",
+                     "99999999999999999999", "1_0", "\u0663", " ", "\t"]),
+    st.text(PIXEL_ALPHABET, min_size=1, max_size=8),
+    st.integers(0, 10**20).map(str),
+)
+
+
+@st.composite
+def pixel_texts(draw):
+    """Noise alone, or noise words spliced into a run of plain pixel values.
+
+    The run is as long as a full row would be with the noise words counted
+    as pixels, give or take one.
+    """
+    if draw(st.booleans()):
+        return draw(st.text(PIXEL_ALPHABET, max_size=24))
+    noise = draw(st.lists(noise_words, min_size=1, max_size=3))
+    count = PIXELS_PER_IMAGE - len(noise) + draw(st.sampled_from([0, 0, -1, 1]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 256, count)
+    words = [str(v) for v in values]
+    for word in noise:
+        at = draw(st.one_of(st.just(0), st.just(len(words)), st.integers(0, len(words))))
+        words.insert(at, word)
+    separator = draw(st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c", "\xa0"]))
+    return separator.join(words)
+
+
+def parse_outcome(parse, text):
+    """Records as plain values, or the DataFormatError message."""
+    try:
+        return [(r.emotion, r.pixels.dtype, r.pixels.tolist(), r.usage) for r in parse(text)]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(pixels=pixel_texts())
+def test_parse_fer_csv_agrees_with_the_row_validator(pixels):
+    text = f"emotion,pixels,Usage\n3,{pixels},Training\n"
+    got = parse_outcome(lambda t: parse_fer_csv(io.StringIO(t)), text)
+    assert got == parse_outcome(parse_fer_text, text)

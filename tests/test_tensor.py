@@ -202,6 +202,18 @@ class TestConv2DBackward:
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
         assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
 
+    @pytest.mark.parametrize("c_in", [1, 16])  # the patch-matrix and the per-tap path
+    def test_without_input_grad_same_parameter_grads(self, c_in):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 8, 8, c_in)).astype(np.float32)
+        kernels = rng.standard_normal((4, c_in, 3, 3)).astype(np.float32)
+        grad_out = rng.standard_normal((2, 8, 8, 4)).astype(np.float32)
+        geom = ConvGeometry(3, 3, padding=1)
+        _, gk, gb = conv2d_backward(x, kernels, geom, grad_out)
+        gx, gk_only, gb_only = conv2d_backward(x, kernels, geom, grad_out, input_grad=False)
+        assert gx is None
+        assert np.array_equal(gk, gk_only) and np.array_equal(gb, gb_only)
+
     def test_grad_out_shape_mismatch_rejected(self):
         x = np.zeros((1, 6, 6, 1), dtype=np.float32)
         kernels = np.zeros((1, 1, 3, 3), dtype=np.float32)
