@@ -143,12 +143,13 @@ class ReLU(Layer):
 
     def forward(self, x, train, rng):
         out = np.maximum(x, 0)
-        self._cache = out if train else None  # the next layer's input, kept anyway
+        # a bool mask, a quarter of the output's bytes: out = relu(x) is > 0 exactly
+        # where x is, and the subgradient at 0 is 0
+        self._cache = out > 0 if train else None
         return out
 
     def backward(self, grad):
-        # out = relu(x) is > 0 exactly where x is; the subgradient at 0 is 0
-        return grad * (self._cache > 0)
+        return grad * self._cache
 
 
 class Dense(Layer):
@@ -213,24 +214,46 @@ class Dropout(Layer):
             raise ValueError(f"dropout rate must be in [0,1), got {rate}")
         self.rate = rate
 
-    def forward(self, x, train, rng):
+    def keep_mask(self, shape, rng):
+        """The bool keep mask of a training forward on a batch of ``shape``; None at rate 0.
+
+        An image batch's mask is drawn in [N,C,H,W] order, so the layout does
+        not change which units a seed drops.
+        """
+        if self.rate == 0.0:
+            return None
+        draw = (shape[0], shape[-1], *shape[1:-1])
+        return np.moveaxis(rng.random(draw), 1, -1) >= self.rate
+
+    def forward(self, x, train, rng, keep=None):
         """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
         Inference mode is the identity, so training-time expectations match
-        inference activations. The cached mask already carries the survivor
-        scaling and is None in inference mode.
+        inference activations. The units kept are ``keep``, a mask drawn
+        earlier by ``keep_mask``, or else a mask drawn from ``rng`` now. The
+        cache holds the mask and the survivor scale, and is None in inference
+        mode.
         """
         if not train or self.rate == 0.0:
             self._cache = None
             return x
-        # drawn in [N,C,H,W] order for an image batch, so the layout does not change
-        # which units a seed drops
-        keep = np.moveaxis(rng.random(np.moveaxis(x, -1, 1).shape), 1, -1) >= self.rate
-        self._cache = keep.astype(x.dtype, order="C") / (1.0 - self.rate)
-        return x * self._cache
+        if keep is None:
+            keep = self.keep_mask(x.shape, rng)
+        # 1/(1-rate) rounded in the input's dtype, so x * keep * scale is bit for bit
+        # x * (keep / (1 - rate)) in that dtype, signed zeros included
+        scale = np.ones((), x.dtype) / (1.0 - self.rate)
+        self._cache = keep, scale
+        out = np.multiply(x, keep, out=np.empty(x.shape, x.dtype))
+        out *= scale
+        return out
 
     def backward(self, grad):
-        return grad if self._cache is None else grad * self._cache
+        if self._cache is None:
+            return grad
+        keep, scale = self._cache
+        out = grad * keep
+        out *= scale
+        return out
 
 
 class Flatten(Layer):

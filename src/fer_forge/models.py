@@ -12,9 +12,11 @@ load rebuilds the exact network and restores bit-identical parameters.
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 
+from . import blas
 from . import layers as L
 from .data import NUM_CLASSES
 from .layers import LayerSpec, ShapeError, cross_entropy_loss
@@ -82,6 +84,8 @@ class Network:
             raise ShapeError("network must end in a softmax layer")
         if shape != (num_classes,):
             raise ShapeError(f"final layer has shape {shape}, expected ({num_classes},)")
+        # the trunk: the layers whose output is still an image
+        self._trunk = next(i for i, out in enumerate(self._trace[1:]) if len(out) != 3)
 
     def shape_trace(self) -> list[tuple[int, ...]]:
         """Input shape followed by each layer's output shape."""
@@ -96,11 +100,14 @@ class Network:
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.parameters()))
 
-    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
+    def _check_batch(self, x: np.ndarray):
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input [N,{','.join(map(str, self.input_shape))}], "
                              f"got shape {x.shape}")
+
+    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
+        """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
+        self._check_batch(x)
         if rng is None:
             rng = np.random.default_rng(0)
         out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
@@ -117,21 +124,63 @@ class Network:
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
+        The trunk, every layer before ``Flatten``, runs forward and backward
+        on ``blas.shards`` contiguous shards of the batch at once: shard 0 on
+        ``layers`` on this thread, each other shard on its own thread, on
+        replica layers that share ``layers``' parameters. The head, the rest,
+        runs once on the whole batch on this thread. The trunk's dropout masks
+        are drawn for the whole batch first, in layer order, as a forward draws
+        them, so the probabilities are those of an unsharded pass; each trunk
+        layer's gradients are the shards' sums, added in shard order.
+
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
         backward pass stops at the lowest layer with parameters, which
         computes no gradient for its input, since nothing reads it.
         """
-        probs = self.forward(x, train=True, rng=rng)
-        loss = cross_entropy_loss(probs, target_onehot)
-        for layer in self.layers:
-            loss += layer.penalty()
-        grad = (probs - target_onehot) / probs.shape[0]
+        self._check_batch(x)
+        if rng is None:
+            rng = np.random.default_rng(0)
+        n, t = x.shape[0], self._trunk
+        keeps = [layer.keep_mask((n, *shape), rng) if layer.kind == "dropout" else None
+                 for layer, shape in zip(self.layers[:t], self._trace)]
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
-        for layer in reversed(self.layers[lowest + 1 : -1]):
-            grad = layer.backward(grad)
-        self.layers[lowest].backward(grad, input_grad=False)
+        with blas.shards(n if t else 1) as count:  # no trunk, nothing to shard
+            stacks = [self.layers[:t]] + [self._replica_trunk() for _ in range(1, count)]
+            rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+            def trunk_forward(k):
+                out = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
+                for layer, keep in zip(stacks[k], keeps):
+                    if keep is None:
+                        out = layer.forward(out, True, None)
+                    else:
+                        out = layer.forward(out, True, None, keep=keep[rows[k]])
+                return out
+
+            out = _each_shard(count, trunk_forward)
+            out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
+            for layer in self.layers[t:]:
+                out = layer.forward(out, True, rng)
+            probs = out
+            loss = cross_entropy_loss(probs, target_onehot)
+            for layer in self.layers:
+                loss += layer.penalty()
+            grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
+            if lowest < t:
+                _each_shard(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
+                for replica in stacks[1:]:
+                    for layer, copy in zip(self.layers, replica):
+                        for g, g_copy in zip(layer.grads, copy.grads):
+                            g += g_copy
         return loss, probs
+
+    def _replica_trunk(self) -> list[L.Layer]:
+        """Fresh trunk layers that share this network's parameter arrays."""
+        replica = [spec.materialize() for spec in self.specs[: self._trunk]]
+        for copy, layer in zip(replica, self.layers):
+            copy.params = layer.params
+        return replica
 
     def describe(self) -> dict:
         return {
@@ -139,6 +188,46 @@ class Network:
             "num_classes": self.num_classes,
             "layers": [{"kind": spec.kind, "hyper": spec.hyper} for spec in self.specs],
         }
+
+
+def _each_shard(count: int, work) -> list:
+    """``work(k)`` for each shard k: shard 0 on this thread, the others on their own.
+
+    Every thread is joined before this returns or raises; the first shard's
+    error, in shard order, is raised.
+    """
+    results = [None] * count
+    errors = [None] * count
+
+    def run(k):
+        try:
+            results[k] = work(k)
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _backward(layers, grad, lowest):
+    """Backward from the top of ``layers`` to ``layers[lowest]``, which makes no input
+    gradient; through every layer when ``lowest`` is below them. Returns the gradient
+    at the lowest layer run."""
+    for layer in reversed(layers[max(lowest + 1, 0):]):
+        grad = layer.backward(grad)
+    if lowest >= 0:
+        layers[lowest].backward(grad, input_grad=False)
+    return grad
 
 
 def _conv_block(filters, padding):

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from fer_forge import blas
 from fer_forge.data import NUM_CLASSES, LabeledDataset, class_histogram
 from fer_forge.models import FORMAT_VERSION, MAGIC
 from fer_forge.tensor import ShapeError
@@ -110,6 +111,17 @@ def dark_top_cascade_doc(window=24):
             }
         ],
     }
+
+
+@pytest.fixture
+def pin_blas_threads():
+    """A function that sets OpenBLAS's thread count through ``fer_forge.blas``; the count
+    the test started with is restored afterwards. Where the count cannot be read and set,
+    pinning does nothing and every training step runs as one shard."""
+    before = blas.blas_threads()
+    yield blas.set_blas_threads
+    if before is not None:
+        blas.set_blas_threads(before)
 
 
 @pytest.fixture

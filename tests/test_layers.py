@@ -120,7 +120,23 @@ class TestDropout:
         out = forward(layer, x, train=True, seed=7)
         kept = out[out != 0]
         assert np.allclose(kept, 1.0 / 0.75)
-        assert np.array_equal(out, layer._cache)
+        keep, scale = layer._cache
+        assert keep.dtype == bool and np.array_equal(out, keep * scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_gives_the_float_mask_products_bit_for_bit(self, dtype):
+        # the float mask keep / (1 - rate), signed zeros included
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4, 3, 5, 2)).astype(dtype)
+        grad = rng.standard_normal(x.shape).astype(dtype)
+        layer = L.Dropout(0.2)
+        keep = layer.keep_mask(x.shape, np.random.default_rng(12))
+        float_mask = keep.astype(dtype, order="C") / (1.0 - 0.2)
+        out = forward(layer, x, train=True, seed=12)
+        assert out.dtype == dtype and out.tobytes() == (x * float_mask).tobytes()
+        assert layer.backward(grad).tobytes() == (grad * float_mask).tobytes()
+        assert np.signbit(out[~keep]).any()
+        assert layer.forward(x, True, None, keep=keep).tobytes() == out.tobytes()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +149,7 @@ class TestDropout:
         keep = np.random.default_rng(9).random(x.shape) >= 0.4
         layer = L.Dropout(0.4)
         out = forward(layer, x.transpose(0, 2, 3, 1), train=True, seed=9)
-        assert out.shape == layer._cache.shape == (3, 5, 4, 2) and out.flags.c_contiguous
+        assert out.shape == layer._cache[0].shape == (3, 5, 4, 2) and out.flags.c_contiguous
         assert np.array_equal(out.transpose(0, 3, 1, 2) != 0, keep)
         assert np.array_equal(out.transpose(0, 3, 1, 2), x * (keep / 0.6))
 
@@ -288,11 +304,11 @@ class TestRetainedCaches:
         assert np.array_equal(layer.forward(x, False, np.random.default_rng(0)), out)
         assert layer._cache is None
 
-    def test_relu_keeps_its_output_not_its_input(self):
+    def test_relu_keeps_a_bool_mask_not_its_input(self):
         layer = self._built(LayerSpec("relu"), (4, 4, 3))
         x = np.random.default_rng(4).standard_normal((2, 4, 4, 3)).astype(np.float32)
         out = layer.forward(x, True, np.random.default_rng(0))
-        assert layer._cache is out
+        assert layer._cache.dtype == bool and np.array_equal(layer._cache, out > 0)
         grad = np.random.default_rng(5).standard_normal(x.shape).astype(np.float32)
         assert np.array_equal(layer.backward(grad), grad * (x > 0))
 

@@ -1,15 +1,23 @@
 import hashlib
+import os
 import re
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_ARCHS, write_arch_only
+from conftest import MALFORMED_ARCHS, synthetic_dataset, write_arch_only
+from fer_forge import blas
+from fer_forge import layers as L
+from fer_forge import train as T
 from fer_forge.gradcheck import relative_error
+from fer_forge.optim import OptimizerConfig
 from fer_forge.layers import LayerSpec, ShapeError
 from fer_forge.models import (
+    ARCHITECTURE_SPECS,
     BadMagicError,
     DimOverflowError,
     ModelFileError,
@@ -200,7 +208,8 @@ class TestLossAndGrad:
         return rng.random((3, 1, 48, 48), dtype=np.float32), np.eye(7, dtype=np.float32)[[0, 4, 6]]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_gradients_equal_a_backward_through_every_layer(self, name):
+    def test_gradients_equal_a_backward_through_every_layer(self, name, pin_blas_threads):
+        pin_blas_threads(1)  # one shard: the layers keep the whole batch's caches
         net = Network(self.SPECS[name], seed=2)
         x, targets = self.batch()
         _, probs = net.loss_and_grad(x, targets)
@@ -220,6 +229,116 @@ class TestLossAndGrad:
         monkeypatch.setattr(net.layers[0], "backward", fail)
         net.loss_and_grad(*self.batch())
         assert len(net.gradients()) == 4
+
+
+def shard_count(pin, monkeypatch, count, threads=None):
+    """Make a training step run ``count`` shards, whatever the cores here, with OpenBLAS
+    at ``threads`` threads (default ``count``)."""
+    if blas.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread count to read and set")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    pin(threads or count)
+
+
+class TestShardedStep:
+    """A training step runs the layers before Flatten on one batch shard per BLAS thread."""
+
+    def step(self, name, n, seed=3):
+        net = Network(ARCHITECTURE_SPECS[name](), seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, 1, 48, 48), dtype=np.float32)
+        targets = np.eye(7, dtype=np.float32)[rng.integers(0, 7, n)]
+        loss, probs = net.loss_and_grad(x, targets, np.random.default_rng(9))
+        return net, loss, probs
+
+    @pytest.mark.parametrize("n", [5, 1])
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("name", ["simple_cnn", "proposed_cnn"])
+    def test_shards_match_one_shard(self, name, shards, n, pin_blas_threads, monkeypatch):
+        # OpenBLAS's thread count changes a GEMM's summation order, so the one-shard
+        # step runs at the count the other step's GEMMs run at: 1 while shards run
+        shard_count(pin_blas_threads, monkeypatch, 1, threads=1 if n > 1 else shards)
+        ref, ref_loss, ref_probs = self.step(name, n)
+        shard_count(pin_blas_threads, monkeypatch, shards)
+        threads = threading.active_count()
+        seen = set()
+        conv_forward = L.Conv2D.forward
+
+        def spy(layer, *args, **kwargs):
+            seen.add(threading.get_ident())
+            return conv_forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(L.Conv2D, "forward", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
+        try:
+            net, loss, probs = self.step(name, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert len(seen) == min(shards, n)
+        assert blas.blas_threads() == shards
+        assert loss == ref_loss and np.array_equal(probs, ref_probs)
+        trunk = net.layers.index(next(l for l in net.layers if l.kind == "flatten"))
+        for i, (layer, ref_layer) in enumerate(zip(net.layers, ref.layers)):
+            for g, ref_g in zip(layer.grads, ref_layer.grads):
+                if i > trunk or n == 1:
+                    assert np.array_equal(g, ref_g)
+                else:  # sums in another order (shards, BLAS threads): kernels, then biases
+                    bound = 1e-6 if g.ndim == 4 else 2e-5
+                    assert np.abs(g - ref_g).max() <= bound * np.abs(ref_g).max()
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_same_seed_same_model_file(self, shards, pin_blas_threads, monkeypatch, tmp_path):
+        shard_count(pin_blas_threads, monkeypatch, shards)
+        cfg = T.TrainConfig(OptimizerConfig("adam", 1e-3), batch_size=5, max_epochs=2, seed=4)
+        blobs = []
+        for i in range(2):
+            net, _, _ = T.train(Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=4),
+                                synthetic_dataset(10, seed=4), cfg)
+            save_model(net, str(tmp_path / f"{i}.femo"))
+            blobs.append((tmp_path / f"{i}.femo").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_worker_error_propagates_after_every_thread_ends(self, shards, pin_blas_threads,
+                                                             monkeypatch):
+        shard_count(pin_blas_threads, monkeypatch, shards)
+        threads = threading.active_count()
+        relu_backward = L.ReLU.backward
+
+        def fail_off_the_main_thread(layer, grad):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker shard failed")
+            return relu_backward(layer, grad)
+
+        monkeypatch.setattr(L.ReLU, "backward", fail_off_the_main_thread)
+        with pytest.raises(RuntimeError, match="worker shard failed"):
+            self.step("simple_cnn", 5)
+        assert threading.active_count() == threads
+        assert blas.blas_threads() == shards
+
+    def test_a_network_without_a_trunk_looks_up_no_blas(self, monkeypatch):
+        def fail():
+            raise AssertionError("BLAS thread count read")
+
+        monkeypatch.setattr(blas, "blas_threads", fail)
+        _, loss, probs = self.step("ffnn", 5)
+        assert np.isfinite(loss) and probs.shape == (5, 7)
+
+
+class TestBlas:
+    def test_info_names_the_library(self):
+        info = blas.blas_info()
+        assert set(info) == {"name", "version"} and all(isinstance(v, str) for v in info.values())
+
+    def test_thread_count_round_trips(self, pin_blas_threads):
+        if blas.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to read and set")
+        pin_blas_threads(3)
+        assert blas.blas_threads() == 3
+        pin_blas_threads(1)
+        assert blas.blas_threads() == 1
 
 
 class TestPersistence:
