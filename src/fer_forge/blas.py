@@ -1,4 +1,4 @@
-"""The BLAS numpy runs on: its name and version, and OpenBLAS's thread count.
+"""OpenBLAS's thread count, and how many shards of a training batch run at once.
 
 The thread count is read and set through the loaded OpenBLAS library,
 found by its exported symbols on the first call that needs it; without
@@ -9,21 +9,10 @@ import functools
 import os
 from contextlib import contextmanager
 
-import numpy as np
-
 _GET = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
         "openblas_get_num_threads")
 _SET = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
         "openblas_set_num_threads")
-
-
-def blas_info() -> dict:
-    """Name and version of the BLAS numpy was built against."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        return {"name": "unknown", "version": "unknown"}
-    return {"name": blas.get("name", "unknown"), "version": blas.get("version", "unknown")}
 
 
 @functools.cache
@@ -63,23 +52,25 @@ def set_blas_threads(n: int):
         functions[1](n)
 
 
-@contextmanager
-def shards(batch: int):
+def shard_count(batch: int) -> int:
     """How many shards of a ``batch`` to run at once, one per thread.
 
     That is OpenBLAS's thread count, capped by the usable cores and by
     ``batch``, so 1 when OpenBLAS runs on one thread or its count cannot be
-    read and set. While more than one shard runs, OpenBLAS runs on one
-    thread, so that each shard's thread keeps one core; its count is
-    restored on exit. A batch of 1 looks nothing up.
+    read and set. A batch of 1 looks nothing up.
     """
     threads = blas_threads() if batch > 1 else None
-    count = 1 if threads is None else min(threads, len(os.sched_getaffinity(0)), batch)
-    if count <= 1:
-        yield 1
-        return
+    return 1 if threads is None else min(threads, len(os.sched_getaffinity(0)), batch)
+
+
+@contextmanager
+def one_thread():
+    """OpenBLAS on one thread, for the whole process, inside the block; its count is
+    restored on exit."""
+    threads = blas_threads()
     set_blas_threads(1)
     try:
-        yield count
+        yield
     finally:
-        set_blas_threads(threads)
+        if threads is not None:
+            set_blas_threads(threads)

@@ -9,6 +9,7 @@ The arch json records the layer stack, input shape and class count, so a
 load rebuilds the exact network and restores bit-identical parameters.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -105,33 +106,32 @@ class Network:
             raise ShapeError(f"expected input [N,{','.join(map(str, self.input_shape))}], "
                              f"got shape {x.shape}")
 
-    def forward(self, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-        """Class probabilities [N,num_classes] for an [N,*input_shape] batch."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities [N,num_classes] for an [N,*input_shape] batch, in inference
+        mode: no dropout, no caches. Training runs through ``loss_and_grad``."""
         self._check_batch(x)
-        if rng is None:
-            rng = np.random.default_rng(0)
         out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
         for layer in self.layers:
-            out = layer.forward(out, train, rng)
+            out = layer.forward(out, False, None)
         return out
 
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Class probabilities for one preprocessed [1,48,48] image."""
         if image.shape != self.input_shape:
             raise ShapeError(f"expected input shape {self.input_shape}, got {image.shape}")
-        return self.forward(image[None], train=False)[0]
+        return self.forward(image[None])[0]
 
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
         The trunk, every layer before ``Flatten``, runs forward and backward
-        on ``blas.shards`` contiguous shards of the batch at once: shard 0 on
-        ``layers`` on this thread, each other shard on its own thread, on
+        on ``blas.shard_count`` contiguous shards of the batch at once: shard 0
+        on ``layers`` on this thread, each other shard on its own thread, on
         replica layers that share ``layers``' parameters. The head, the rest,
         runs once on the whole batch on this thread. The trunk's dropout masks
-        are drawn for the whole batch first, in layer order, as a forward draws
-        them, so the probabilities are those of an unsharded pass; each trunk
-        layer's gradients are the shards' sums, added in shard order.
+        are drawn for the whole batch first, in layer order, so the
+        probabilities do not depend on the shard count; each trunk layer's
+        gradients are the shards' sums, added in shard order.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
@@ -145,34 +145,34 @@ class Network:
         keeps = [layer.keep_mask((n, *shape), rng) if layer.kind == "dropout" else None
                  for layer, shape in zip(self.layers[:t], self._trace)]
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
-        with blas.shards(n if t else 1) as count:  # no trunk, nothing to shard
-            stacks = [self.layers[:t]] + [self._replica_trunk() for _ in range(1, count)]
-            rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+        count = blas.shard_count(n if t else 1)  # no trunk, nothing to shard
+        stacks = [self.layers[:t]] + [self._replica_trunk() for _ in range(1, count)]
+        rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
-            def trunk_forward(k):
-                out = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
-                for layer, keep in zip(stacks[k], keeps):
-                    if keep is None:
-                        out = layer.forward(out, True, None)
-                    else:
-                        out = layer.forward(out, True, None, keep=keep[rows[k]])
-                return out
+        def trunk_forward(k):
+            out = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
+            for layer, keep in zip(stacks[k], keeps):
+                if keep is None:
+                    out = layer.forward(out, True, None)
+                else:
+                    out = layer.forward(out, True, None, keep=keep[rows[k]])
+            return out
 
-            out = _each_shard(count, trunk_forward)
-            out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
-            for layer in self.layers[t:]:
-                out = layer.forward(out, True, rng)
-            probs = out
-            loss = cross_entropy_loss(probs, target_onehot)
-            for layer in self.layers:
-                loss += layer.penalty()
-            grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
-            if lowest < t:
-                _each_shard(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
-                for replica in stacks[1:]:
-                    for layer, copy in zip(self.layers, replica):
-                        for g, g_copy in zip(layer.grads, copy.grads):
-                            g += g_copy
+        out = _each_shard(count, trunk_forward)
+        out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
+        for layer in self.layers[t:]:
+            out = layer.forward(out, True, rng)
+        probs = out
+        loss = cross_entropy_loss(probs, target_onehot)
+        for layer in self.layers:
+            loss += layer.penalty()
+        grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
+        if lowest < t:
+            _each_shard(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
+            for replica in stacks[1:]:
+                for layer, copy in zip(self.layers, replica):
+                    for g, g_copy in zip(layer.grads, copy.grads):
+                        g += g_copy
         return loss, probs
 
     def _replica_trunk(self) -> list[L.Layer]:
@@ -193,8 +193,9 @@ class Network:
 def _each_shard(count: int, work) -> list:
     """``work(k)`` for each shard k: shard 0 on this thread, the others on their own.
 
-    Every thread is joined before this returns or raises; the first shard's
-    error, in shard order, is raised.
+    While more than one shard runs, OpenBLAS runs on one thread, so that each
+    shard's thread keeps one core. Every thread is joined before this returns
+    or raises; the first shard's error, in shard order, is raised.
     """
     results = [None] * count
     errors = [None] * count
@@ -206,13 +207,14 @@ def _each_shard(count: int, work) -> list:
             errors[k] = exc
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = work(0)
-    finally:
+    with blas.one_thread() if threads else contextlib.nullcontext():
         for thread in threads:
-            thread.join()
+            thread.start()
+        try:
+            results[0] = work(0)
+        finally:
+            for thread in threads:
+                thread.join()
     for exc in errors:
         if exc is not None:
             raise exc

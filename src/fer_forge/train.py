@@ -141,7 +141,7 @@ def evaluate(net: Network, dataset: LabeledDataset):
     all_probs = np.zeros((len(dataset), NUM_CLASSES), dtype=np.float32)
     for start in range(0, len(dataset), EVAL_BATCH):
         xb = dataset.images[start : start + EVAL_BATCH]
-        all_probs[start : start + xb.shape[0]] = net.forward(xb, train=False)
+        all_probs[start : start + xb.shape[0]] = net.forward(xb)
     preds = argmax_labels(all_probs)
     return accuracy(preds, dataset.labels), all_probs, preds
 

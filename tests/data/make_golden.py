@@ -41,7 +41,7 @@ def main():
     save_model(net, str(HERE / "golden_tiny.femo"))
     rng = np.random.default_rng(2024)
     inputs = rng.random((4, *INPUT_SHAPE), dtype=np.float32)
-    probs = net.forward(inputs, train=False)
+    probs = net.forward(inputs)
     np.savez(HERE / "golden_tiny.npz", inputs=inputs, probs=probs)
     targets = np.eye(7, dtype=np.float32)[rng.integers(0, 7, len(inputs))]
     loss, _ = net.loss_and_grad(inputs, targets)

@@ -255,10 +255,10 @@ class TestCriterion8Persistence:
         }
         for name, builder in builders.items():
             net = builder(seed=11)
-            before = net.forward(inputs, train=False)
+            before = net.forward(inputs)
             path = str(tmp_path / f"{name}.femo")
             save_model(net, path)
-            after = load_model(path).forward(inputs, train=False)
+            after = load_model(path).forward(inputs)
             assert np.array_equal(before, after), f"{name} round trip not bit-identical"
         report(8, "save/load/predict bit-identical on 100 inputs for all 3 architectures")
 
