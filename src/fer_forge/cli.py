@@ -121,7 +121,11 @@ def _run_settings(args, manifest: dict):
     if not out:
         raise UsageError("missing required output directory (--out)")
     seed = _merge(args, manifest, "seed", DEFAULT_SEED)
-    return _load_split(data_path, seed), out, seed, _merge(args, manifest, "strict_epoch_eval")
+    train_ds, test_ds = split = _load_split(data_path, seed)
+    if not (len(train_ds) and len(test_ds)):
+        raise UsageError(f"dataset {data_path} splits into {len(train_ds)} training and "
+                         f"{len(test_ds)} test records; training needs both")
+    return split, out, seed, _merge(args, manifest, "strict_epoch_eval")
 
 
 def _given(**settings) -> dict:

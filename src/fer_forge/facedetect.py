@@ -322,7 +322,6 @@ def detect(
     gray: np.ndarray,
     scale_factor: float = 1.1,
     min_neighbors: int = 3,
-    min_size: tuple[int, int] | None = None,
     on_scale: Callable[[float, tuple[int, int], int, list[int]], None] | None = None,
 ) -> list[Detection]:
     """Multi-scale sliding-window detection over a grayscale image.
@@ -356,20 +355,18 @@ def detect(
         win_h = _scaled(cascade.window_h, scale)
         if win_w > w or win_h > h:
             break
-        too_small = min_size is not None and (win_w < min_size[0] or win_h < min_size[1])
-        if not too_small:
-            step = max(1, int(round(scale)))
-            ys, xs = np.arange(0, h - win_h + 1, step), np.arange(0, w - win_w + 1, step)
-            rows = max(1, _CHUNK_WINDOWS // len(xs))
-            survivors = [0] * len(cascade.stages)
-            for top in range(0, len(ys), rows):
-                origins = (ys[top : top + rows, None] * (w + 1) + xs).ravel()
-                passed, left = _cascade_survivors(cascade, ii, ii_sq, origins, scale)
-                survivors = [a + b for a, b in zip(survivors, left)]
-                py, px = np.divmod(passed, w + 1)
-                hits += [(x, y, win_w, win_h) for y, x in zip(py.tolist(), px.tolist())]
-            if on_scale is not None:
-                on_scale(scale, (win_w, win_h), len(ys) * len(xs), survivors)
+        step = max(1, int(round(scale)))
+        ys, xs = np.arange(0, h - win_h + 1, step), np.arange(0, w - win_w + 1, step)
+        rows = max(1, _CHUNK_WINDOWS // len(xs))
+        survivors = [0] * len(cascade.stages)
+        for top in range(0, len(ys), rows):
+            origins = (ys[top : top + rows, None] * (w + 1) + xs).ravel()
+            passed, left = _cascade_survivors(cascade, ii, ii_sq, origins, scale)
+            survivors = [a + b for a, b in zip(survivors, left)]
+            py, px = np.divmod(passed, w + 1)
+            hits += [(x, y, win_w, win_h) for y, x in zip(py.tolist(), px.tolist())]
+        if on_scale is not None:
+            on_scale(scale, (win_w, win_h), len(ys) * len(xs), survivors)
         scale *= scale_factor
     return group_hits(hits, min_neighbors)
 

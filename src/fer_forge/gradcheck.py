@@ -53,10 +53,12 @@ def check_layer_detailed(layer: Layer, in_shape: tuple[int, ...], seed: int) -> 
 
     x = np.random.default_rng(derive_seed(seed, "input")).standard_normal((2, *in_shape))
     proj = np.random.default_rng(derive_seed(seed, "proj")).standard_normal((2, *out_shape))
-    mask_seed = derive_seed(seed, "mask")
+    masked = {}
+    if layer.kind == "dropout":
+        masked["keep"] = layer.keep_mask(x.shape, np.random.default_rng(derive_seed(seed, "mask")))
 
     def objective() -> float:
-        out = layer.forward(x, True, np.random.default_rng(mask_seed))
+        out = layer.forward(x, True, **masked)
         return float(np.sum(out * proj)) + layer.penalty()
 
     objective()  # populate caches for the analytic pass

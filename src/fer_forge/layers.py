@@ -61,7 +61,7 @@ class Layer:
     def build(self, in_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
         return in_shape
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -85,12 +85,12 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
 class Conv2D(Layer):
     kind = "conv2d"
 
-    def __init__(self, filters: int, kernel_size: int = 3, stride: int = 1, padding: int = 0):
+    def __init__(self, filters: int, kernel_size: int = 3, padding: int = 0):
         super().__init__()
         if filters < 1:
             raise ValueError(f"filter count must be >= 1, got {filters}")
         self.filters = filters
-        self.geom = ConvGeometry(kernel_size, kernel_size, stride, padding)
+        self.geom = ConvGeometry(kernel_size, kernel_size, padding)
 
     def build(self, in_shape, rng):
         if len(in_shape) != 3:
@@ -105,7 +105,7 @@ class Conv2D(Layer):
         self.params = [kernels, bias]
         return (oh, ow, self.filters)
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         self._cache = x if train else None
         return conv2d(x, self.params[0], self.params[1], self.geom)
 
@@ -127,7 +127,7 @@ class MaxPool2D(Layer):
             raise ShapeError(f"maxpool2d needs spatial dims >= 2, got {in_shape}")
         return (h // 2, w // 2, c)
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         if not train:
             self._cache = None
             return maxpool(x)
@@ -141,7 +141,7 @@ class MaxPool2D(Layer):
 class ReLU(Layer):
     kind = "relu"
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         out = np.maximum(x, 0)
         # a bool mask, a quarter of the output's bytes: out = relu(x) is > 0 exactly
         # where x is, and the subgradient at 0 is 0
@@ -179,7 +179,7 @@ class Dense(Layer):
         self.params = [weights, bias]
         return (self.units,)
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         weights, bias = self.params
         if x.shape[-1] != weights.shape[0]:
             raise ShapeError(
@@ -225,20 +225,18 @@ class Dropout(Layer):
         draw = (shape[0], shape[-1], *shape[1:-1])
         return np.moveaxis(rng.random(draw), 1, -1) >= self.rate
 
-    def forward(self, x, train, rng, keep=None):
+    def forward(self, x, train, keep=None):
         """Inverted dropout: zero with probability ``rate``, scale survivors by 1/(1-rate).
 
         Inference mode is the identity, so training-time expectations match
-        inference activations. The units kept are ``keep``, a mask drawn
-        earlier by ``keep_mask``, or else a mask drawn from ``rng`` now. The
+        inference activations. A training forward at a nonzero rate keeps the
+        units of ``keep``, the mask ``keep_mask`` drew for this batch. The
         cache holds the mask and the survivor scale, and is None in inference
         mode.
         """
         if not train or self.rate == 0.0:
             self._cache = None
             return x
-        if keep is None:
-            keep = self.keep_mask(x.shape, rng)
         # 1/(1-rate) rounded in the input's dtype, so x * keep * scale is bit for bit
         # x * (keep / (1 - rate)) in that dtype, signed zeros included
         scale = np.ones((), x.dtype) / (1.0 - self.rate)
@@ -264,7 +262,7 @@ class Flatten(Layer):
             raise ShapeError(f"flatten expects (H,W,C) input, got {in_shape}")
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         """Each sample of an [N,H,W,C] batch as a row in [C,H,W] order, as dense weights expect."""
         self._cache = x.shape if train else None
         return x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
@@ -282,7 +280,7 @@ class Softmax(Layer):
             raise ShapeError(f"softmax expects a vector input, got {in_shape}")
         return in_shape
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train):
         """Row-wise softmax with max-subtraction for overflow safety."""
         if not np.all(np.isfinite(x)):
             raise ValueError("softmax input contains non-finite values")

@@ -112,7 +112,7 @@ class Network:
         self._check_batch(x)
         out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
         for layer in self.layers:
-            out = layer.forward(out, False, None)
+            out = layer.forward(out, False)
         return out
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -128,10 +128,11 @@ class Network:
         on ``blas.shard_count`` contiguous shards of the batch at once: shard 0
         on ``layers`` on this thread, each other shard on its own thread, on
         replica layers that share ``layers``' parameters. The head, the rest,
-        runs once on the whole batch on this thread. The trunk's dropout masks
-        are drawn for the whole batch first, in layer order, so the
-        probabilities do not depend on the shard count; each trunk layer's
-        gradients are the shards' sums, added in shard order.
+        runs once on the whole batch on this thread. Every dropout mask, the
+        trunk's and the head's, is drawn from ``rng`` for the whole batch
+        first, in layer order, so the probabilities do not depend on the shard
+        count; each trunk layer's gradients are the shards' sums, added in
+        shard order.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
@@ -143,26 +144,20 @@ class Network:
             rng = np.random.default_rng(0)
         n, t = x.shape[0], self._trunk
         keeps = [layer.keep_mask((n, *shape), rng) if layer.kind == "dropout" else None
-                 for layer, shape in zip(self.layers[:t], self._trace)]
+                 for layer, shape in zip(self.layers, self._trace)]
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
         count = blas.shard_count(n if t else 1)  # no trunk, nothing to shard
         stacks = [self.layers[:t]] + [self._replica_trunk() for _ in range(1, count)]
         rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
         def trunk_forward(k):
-            out = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
-            for layer, keep in zip(stacks[k], keeps):
-                if keep is None:
-                    out = layer.forward(out, True, None)
-                else:
-                    out = layer.forward(out, True, None, keep=keep[rows[k]])
-            return out
+            shard_keeps = [keep if keep is None else keep[rows[k]] for keep in keeps[:t]]
+            shard = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
+            return _train_forward(stacks[k], shard, shard_keeps)
 
         out = _each_shard(count, trunk_forward)
         out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
-        for layer in self.layers[t:]:
-            out = layer.forward(out, True, rng)
-        probs = out
+        probs = _train_forward(self.layers[t:], out, keeps[t:])
         loss = cross_entropy_loss(probs, target_onehot)
         for layer in self.layers:
             loss += layer.penalty()
@@ -221,6 +216,13 @@ def _each_shard(count: int, work) -> list:
     return results
 
 
+def _train_forward(layers, x, keeps):
+    """``x`` through ``layers`` in training mode, ``keeps[i]`` the mask of dropout ``layers[i]``."""
+    for layer, keep in zip(layers, keeps):
+        x = layer.forward(x, True) if keep is None else layer.forward(x, True, keep=keep)
+    return x
+
+
 def _backward(layers, grad, lowest):
     """Backward from the top of ``layers`` to ``layers[lowest]``, which makes no input
     gradient; through every layer when ``lowest`` is below them. Returns the gradient
@@ -232,9 +234,9 @@ def _backward(layers, grad, lowest):
     return grad
 
 
-def _conv_block(filters, padding):
-    return [
-        LayerSpec("conv2d", {"filters": filters, "kernel_size": 3, "padding": padding}),
+def _conv_block(filters):
+    return [  # "padding": 0 is written out, as every saved model file's arch records it
+        LayerSpec("conv2d", {"filters": filters, "kernel_size": 3, "padding": 0}),
         LayerSpec("relu"),
     ]
 
@@ -253,10 +255,10 @@ def feedforward_specs(hidden1: int = 1024, hidden2: int = 512) -> list[LayerSpec
     ]
 
 
-def simple_cnn_specs(padding: int = 0) -> list[LayerSpec]:
+def simple_cnn_specs() -> list[LayerSpec]:
     return (
-        _conv_block(32, padding)
-        + _conv_block(64, padding)
+        _conv_block(32)
+        + _conv_block(64)
         + [
             LayerSpec("maxpool2d"),
             LayerSpec("dropout", {"rate": 0.25}),
@@ -270,15 +272,15 @@ def simple_cnn_specs(padding: int = 0) -> list[LayerSpec]:
     )
 
 
-def proposed_cnn_specs(padding: int = 0) -> list[LayerSpec]:
+def proposed_cnn_specs() -> list[LayerSpec]:
     return (
-        _conv_block(64, padding)
-        + _conv_block(64, padding)
+        _conv_block(64)
+        + _conv_block(64)
         + [LayerSpec("maxpool2d"), LayerSpec("dropout", {"rate": 0.25})]
-        + _conv_block(128, padding)
-        + _conv_block(128, padding)
-        + _conv_block(256, padding)
-        + _conv_block(256, padding)
+        + _conv_block(128)
+        + _conv_block(128)
+        + _conv_block(256)
+        + _conv_block(256)
         + [
             LayerSpec("maxpool2d"),
             LayerSpec("dropout", {"rate": 0.25}),
@@ -297,14 +299,14 @@ def build_feedforward(hidden1: int = 1024, hidden2: int = 512, seed: int = 0) ->
     return Network(feedforward_specs(hidden1, hidden2), seed=seed)
 
 
-def build_simple_cnn(padding: int = 0, seed: int = 0) -> Network:
+def build_simple_cnn(seed: int = 0) -> Network:
     """Two conv layers, one pool, then a single hidden dense layer."""
-    return Network(simple_cnn_specs(padding), seed=seed)
+    return Network(simple_cnn_specs(), seed=seed)
 
 
-def build_proposed_cnn(padding: int = 0, seed: int = 0) -> Network:
+def build_proposed_cnn(seed: int = 0) -> Network:
     """Six conv layers (64/64/128/128/256/256), two pools, L2-regularized dense head."""
-    return Network(proposed_cnn_specs(padding), seed=seed)
+    return Network(proposed_cnn_specs(), seed=seed)
 
 
 # The one architecture registry: model name -> layer-spec function.

@@ -4,13 +4,12 @@ Tensors are plain numpy arrays in row-major (C) order. Training runs in
 float32; gradient checking promotes to float64 because finite differences
 are unreliable in single precision. The kernels the layers call take and
 return [N,H,W,C] batches; conv kernels keep the model file's
-[C_out,C_in,kh,kw]. ``conv2d_forward`` and ``maxpool_forward`` are
-transposes around them for an NCHW sample or batch.
+[C_out,C_in,kh,kw].
 
 Convolution views the (padded) batch as rows [N*H*W, C]: kernel tap (i, j)
 reads the contiguous row slice starting at i*W + j, so the output is a sum
-of one GEMM per tap over the whole stride-1 grid, cropped to the valid
-(strided) positions by the bias add; backward reuses the same slices. No
+of one GEMM per tap over the whole padded grid, cropped to the valid
+positions by the bias add; backward reuses the same slices. No
 patch matrix is built or kept. When C_in*kh*kw is small (the single-channel
 first layer) each tap GEMM would be a thin rank-C update, so the operand
 shape selects a transient patch-matrix GEMM instead.
@@ -27,27 +26,24 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ConvGeometry:
-    """Spatial geometry of a convolution: kernel size, stride and zero padding."""
+    """Spatial geometry of a stride-1 convolution: kernel size and zero padding."""
 
     kernel_h: int
     kernel_w: int
-    stride: int = 1
     padding: int = 0
 
     def __post_init__(self):
         if self.kernel_h < 1 or self.kernel_w < 1:
             raise ShapeError(f"kernel dims must be >= 1, got {self.kernel_h}x{self.kernel_w}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:
             raise ShapeError(f"padding must be >= 0, got {self.padding}")
 
     def out_dim(self, in_dim: int, kernel: int) -> int:
-        out = (in_dim + 2 * self.padding - kernel) // self.stride + 1
+        out = in_dim + 2 * self.padding - kernel + 1
         if out < 1:
             raise ShapeError(
                 f"geometry yields non-positive output dim: in={in_dim} "
-                f"kernel={kernel} stride={self.stride} padding={self.padding}"
+                f"kernel={kernel} padding={self.padding}"
             )
         return out
 
@@ -110,12 +106,11 @@ def _sum_of_taps(src: np.ndarray, weights: np.ndarray, offsets: list[int], out: 
             acc += prod
 
 
-def _patches(xp: np.ndarray, geom: ConvGeometry, oh: int, ow: int) -> np.ndarray:
+def _patches(xp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
     """Windows of a padded channels-last batch as a transient [N*oh*ow, C*kh*kw] matrix."""
-    s = geom.stride
     view = np.lib.stride_tricks.sliding_window_view(
         xp, (geom.kernel_h, geom.kernel_w), axis=(1, 2)
-    )[:, : s * oh : s, : s * ow : s]  # [N,oh,ow,C,kh,kw]
+    )  # [N,oh,ow,C,kh,kw]
     return view.reshape(-1, view.shape[3] * geom.kernel_h * geom.kernel_w)
 
 
@@ -141,10 +136,10 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeome
     xp = _padded(x, geom.padding, dtype)
     if c_in * kh * kw <= _PATCH_MAX_K:
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
-        grid = (_patches(xp, geom, oh, ow) @ wmat.T).reshape(n, oh, ow, c_out)
+        grid = (_patches(xp, geom) @ wmat.T).reshape(n, oh, ow, c_out)
     else:
-        # stride-1 output over the whole padded grid, cropped to the valid
-        # (and strided) positions by the bias add
+        # output over the whole padded grid, cropped to the valid positions
+        # by the bias add
         _, hp, wp, _ = xp.shape
         offsets = _tap_offsets(geom, wp)
         taps = kernels.transpose(2, 3, 1, 0).reshape(kh * kw, c_in, c_out)
@@ -153,8 +148,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeome
             xp.reshape(-1, c_in), np.ascontiguousarray(taps, dtype=dtype), offsets,
             full[: full.shape[0] - offsets[-1]],
         )
-        s = geom.stride
-        grid = full.reshape(n, hp, wp, c_out)[:, : s * oh : s, : s * ow : s]
+        grid = full.reshape(n, hp, wp, c_out)[:, :oh, :ow]
     return np.add(grid, bias)
 
 
@@ -185,10 +179,10 @@ def conv2d_backward(
     dtype = np.result_type(x, kernels, grad_out)
     xp = _padded(x, geom.padding, dtype)
     _, hp, wp, _ = xp.shape
-    s, p = geom.stride, geom.padding
+    p = geom.padding
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     if c_in * kh * kw <= _PATCH_MAX_K:
-        cols = _patches(xp, geom, oh, ow)
+        cols = _patches(xp, geom)
         g2 = grad_out.reshape(-1, c_out).astype(dtype, copy=False)
         grad_kernels = (g2.T @ cols).reshape(kernels.shape)
         del cols
@@ -199,14 +193,14 @@ def conv2d_backward(
         gxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, i : i + s * oh : s, j : j + s * ow : s] += gcols[..., i, j]
+                gxp[:, i : i + oh, j : j + ow] += gcols[..., i, j]
     else:
-        # grad_out scattered onto the stride-1 grid of forward positions,
-        # behind a zero margin as long as the largest tap offset
+        # grad_out placed on the padded grid of forward positions, behind a
+        # zero margin as long as the largest tap offset
         offsets = _tap_offsets(geom, wp)
         margin = offsets[-1]
         gpad = np.zeros((margin + n * hp * wp, c_out), dtype=dtype)
-        gpad[margin:].reshape(n, hp, wp, c_out)[:, : s * oh : s, : s * ow : s] = grad_out
+        gpad[margin:].reshape(n, hp, wp, c_out)[:, :oh, :ow] = grad_out
         rows = xp.reshape(-1, c_in)
         used = rows.shape[0] - margin
         g_used = gpad[margin : margin + used]
@@ -274,26 +268,3 @@ def maxpool_backward(index_map: PoolIndexMap, grad_out: np.ndarray) -> np.ndarra
     for corner, view in enumerate(_pool_corners(grad_input)):
         np.multiply(grad_out, winners == corner, out=view)
     return grad_input
-
-
-def _nhwc_view(x: np.ndarray) -> np.ndarray:
-    """A [C,H,W] sample or an [N,C,H,W] batch as an [N,H,W,C] view."""
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"input must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
-    return x.reshape(-1, *x.shape[-3:]).transpose(0, 2, 3, 1)
-
-
-def conv2d_forward(
-    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry
-) -> np.ndarray:
-    """``conv2d`` on a [C,H,W] sample or an [N,C,H,W] batch, returned in its layout."""
-    out = conv2d(_nhwc_view(x), kernels, bias, geom).transpose(0, 3, 1, 2)
-    return out if x.ndim == 4 else out[0]
-
-
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
-    """``maxpool_argmax`` on a [C,H,W] sample or an [N,C,H,W] batch: the pooled result in
-    its layout, and the argmax map for ``maxpool_backward`` on [N,H,W,C] gradients."""
-    out, index_map = maxpool_argmax(_nhwc_view(x))
-    out = out.transpose(0, 3, 1, 2)
-    return (out if x.ndim == 4 else out[0]), index_map

@@ -121,7 +121,6 @@ def detect(
     gray: np.ndarray,
     scale_factor: float = 1.1,
     min_neighbors: int = 3,
-    min_size: tuple[int, int] | None = None,
 ) -> list[Detection]:
     """Multi-scale sliding-window detection over a grayscale image."""
     gray = np.asarray(gray)
@@ -145,12 +144,10 @@ def detect(
         win_h = _scaled(cascade.window_h, scale)
         if win_w > w or win_h > h:
             break
-        too_small = min_size is not None and (win_w < min_size[0] or win_h < min_size[1])
-        if not too_small:
-            step = max(1, int(round(scale)))
-            for y in range(0, h - win_h + 1, step):
-                for x in range(0, w - win_w + 1, step):
-                    if eval_window(cascade, ii, ii_sq, x, y, scale):
-                        hits.append((x, y, win_w, win_h))
+        step = max(1, int(round(scale)))
+        for y in range(0, h - win_h + 1, step):
+            for x in range(0, w - win_w + 1, step):
+                if eval_window(cascade, ii, ii_sq, x, y, scale):
+                    hits.append((x, y, win_w, win_h))
         scale *= scale_factor
     return group_hits(hits, min_neighbors)

@@ -1,14 +1,15 @@
-"""Reference convolution: a direct sliding-window loop over NCHW arrays.
+"""Reference convolution and the NCHW adapters of the channels-last kernels.
 
-This is the package's original ``conv2d_forward_direct``, kept as the
-oracle that the per-tap and patch-matrix kernels in ``fer_forge.tensor``
-must match. It takes a [C,H,W] sample or an [N,C,H,W] batch; the
-channels-last kernels are compared with it through a transpose.
+``conv2d_forward_direct`` is the package's original direct sliding-window
+loop, kept as the oracle that the per-tap and patch-matrix kernels in
+``fer_forge.tensor`` must match. It takes a [C,H,W] sample or an
+[N,C,H,W] batch, and so do ``conv2d_forward`` and ``maxpool_forward``,
+which run the package's [N,H,W,C] kernels through a transpose.
 """
 
 import numpy as np
 
-from fer_forge.tensor import ConvGeometry
+from fer_forge.tensor import ConvGeometry, PoolIndexMap, ShapeError, conv2d, maxpool_argmax
 
 
 def conv2d_forward_direct(
@@ -25,8 +26,29 @@ def conv2d_forward_direct(
         for co in range(c_out):
             for oy in range(oh):
                 for ox in range(ow):
-                    y0 = oy * geom.stride
-                    x0 = ox * geom.stride
-                    window = xp[b, :, y0 : y0 + geom.kernel_h, x0 : x0 + geom.kernel_w]
+                    window = xp[b, :, oy : oy + geom.kernel_h, ox : ox + geom.kernel_w]
                     out[b, co, oy, ox] = np.sum(window * kernels[co]) + bias[co]
     return out[0] if x.ndim == 3 else out
+
+
+def _nhwc_view(x: np.ndarray) -> np.ndarray:
+    """A [C,H,W] sample or an [N,C,H,W] batch as an [N,H,W,C] view."""
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"input must be [C,H,W] or [N,C,H,W], got shape {x.shape}")
+    return x.reshape(-1, *x.shape[-3:]).transpose(0, 2, 3, 1)
+
+
+def conv2d_forward(
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry
+) -> np.ndarray:
+    """``conv2d`` on a [C,H,W] sample or an [N,C,H,W] batch, returned in its layout."""
+    out = conv2d(_nhwc_view(x), kernels, bias, geom).transpose(0, 3, 1, 2)
+    return out if x.ndim == 4 else out[0]
+
+
+def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, PoolIndexMap]:
+    """``maxpool_argmax`` on a [C,H,W] sample or an [N,C,H,W] batch: the pooled result in
+    its layout, and the argmax map for ``maxpool_backward`` on [N,H,W,C] gradients."""
+    out, index_map = maxpool_argmax(_nhwc_view(x))
+    out = out.transpose(0, 3, 1, 2)
+    return (out if x.ndim == 4 else out[0]), index_map

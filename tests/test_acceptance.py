@@ -34,7 +34,7 @@ from fer_forge.models import (
     save_model,
 )
 from fer_forge.optim import OptimizerConfig
-from fer_forge.tensor import ConvGeometry, conv2d_forward, maxpool_forward
+from fer_forge.tensor import ConvGeometry
 from fer_forge.train import (
     TrainConfig,
     accuracy,
@@ -45,6 +45,7 @@ from fer_forge.train import (
     train,
 )
 from fer_forge.tree import TreeConfig, fit_tree, predict_tree
+from tensor_oracle import conv2d_forward, maxpool_forward
 
 
 def find_fer_csv():

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -154,6 +155,18 @@ def test_model_that_does_not_fit_the_pipeline_exits_2(tmp_path, dataset_csv, fac
     err = capsys.readouterr().err
     assert f"model file {path} takes {named}" in err
     assert "the pipeline needs input [1, 48, 48] and 7 classes" in err
+
+
+@pytest.mark.parametrize("usage", ["Training", "PublicTest"])
+@pytest.mark.parametrize("argv", [["train", "--model", "ffnn"], ["train", "--model", "tree"],
+                                  ["sweep"]], ids=["train-ffnn", "train-tree", "sweep"])
+def test_one_sided_usage_split_exits_2_before_training(tmp_path, capsys, argv, usage):
+    data = tmp_path / "one_sided.csv"
+    data.write_text(make_fer_csv(random_rows(30, seed=0, usage_cycle=(usage,))))
+    out = tmp_path / "o"
+    assert run(*argv, "--data", str(data), "--out", str(out)) == 2
+    assert f"dataset {data} splits into" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_manifest_value_exits_2(tmp_path, dataset_csv, capsys):
@@ -315,6 +328,15 @@ class TestPredictCommand:
         bad = write_arch_only(tmp_path / "bad.femo", arch)
         assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
         assert where in capsys.readouterr().err
+
+    def test_conv_stride_in_model_file_exits_2(self, tmp_path, face_pgm, capsys):
+        # convolutions are stride-1 only: a file that names a stride is refused, not misread
+        arch = {"input_shape": [1, 48, 48], "num_classes": 7, "layers": [
+            {"kind": "conv2d", "hyper": {"filters": 2, "kernel_size": 3, "stride": 2}},
+            {"kind": "flatten"}, {"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax"}]}
+        bad = write_arch_only(tmp_path / "strided.femo", arch)
+        assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
+        assert re.search(r"arch layer 0 \(conv2d\): .*'stride'", capsys.readouterr().err)
 
 
 class TestDetectCommand:

@@ -79,7 +79,7 @@ def run_detect(module, cascade, gray, **kwargs):
     return (seen[0] if seen else None), detections
 
 
-def scan_loop_windows(cascade, h, w, scale_factor, min_size=None) -> int:
+def scan_loop_windows(cascade, h, w, scale_factor) -> int:
     """Windows the scale loop visits, counted one scale at a time."""
     total, scale = 0, 1.0
     while True:
@@ -87,33 +87,31 @@ def scan_loop_windows(cascade, h, w, scale_factor, min_size=None) -> int:
         win_h = int(round(cascade.window_h * scale))
         if win_w > w or win_h > h:
             return total
-        if min_size is None or (win_w >= min_size[0] and win_h >= min_size[1]):
-            step = max(1, int(round(scale)))
-            total += len(range(0, h - win_h + 1, step)) * len(range(0, w - win_w + 1, step))
+        step = max(1, int(round(scale)))
+        total += len(range(0, h - win_h + 1, step)) * len(range(0, w - win_w + 1, step))
         scale *= scale_factor
 
 
-CASES = [  # (image kind, scale factor, min_size)
-    ("int", 1.1, None), ("float", 1.25, None), ("rgb", 1.5, None),
-    ("int", 1.5, (12, 12)), ("float", 1.1, (9, 9)), ("rgb", 1.25, (11, 8)),
+CASES = [  # (image kind, scale factor)
+    ("int", 1.1), ("float", 1.25), ("rgb", 1.5), ("int", 1.5), ("float", 1.1), ("rgb", 1.25),
 ]
 
 
 class TestScanMatchesOracle:
-    @pytest.mark.parametrize("kind,factor,min_size", CASES)
-    def test_random_cascades(self, kind, factor, min_size):
-        rng = np.random.default_rng([len(kind), int(factor * 100), int(min_size is None)])
+    @pytest.mark.parametrize("kind,factor", CASES)
+    def test_random_cascades(self, kind, factor):
+        rng = np.random.default_rng([len(kind), int(factor * 100)])
         gray = random_image(kind, rng)
         hit_counts, windows = [], 0
         for _ in range(3):
             cascade = fd.parse_cascade(random_cascade_doc(rng))
-            kw = {"scale_factor": factor, "min_neighbors": 2, "min_size": min_size}
+            kw = {"scale_factor": factor, "min_neighbors": 2}
             new_hits, new = run_detect(fd, cascade, gray, **kw)
             old_hits, old = run_detect(oracle, cascade, gray, **kw)
             assert new_hits == old_hits
             assert fd.detections_csv(new) == fd.detections_csv(old)
             hit_counts.append(len(new_hits))
-            windows += scan_loop_windows(cascade, *gray.shape, factor, min_size)
+            windows += scan_loop_windows(cascade, *gray.shape, factor)
         assert 0 < sum(hit_counts) < windows  # stages both pass and reject windows
 
     @pytest.mark.parametrize("factor", [1.1, 1.25, 1.5])
@@ -122,12 +120,10 @@ class TestScanMatchesOracle:
     def test_accept_and_reject_all(self, doc, factor):
         gray = random_image("int", np.random.default_rng(5), 17, 19)
         cascade = fd.parse_cascade(doc)
-        for min_size in (None, (11, 11)):
-            kw = {"scale_factor": factor, "min_size": min_size}
-            new_hits, new = run_detect(fd, cascade, gray, **kw)
-            old_hits, old = run_detect(oracle, cascade, gray, **kw)
-            assert new_hits == old_hits
-            assert fd.detections_csv(new) == fd.detections_csv(old)
+        new_hits, new = run_detect(fd, cascade, gray, scale_factor=factor)
+        old_hits, old = run_detect(oracle, cascade, gray, scale_factor=factor)
+        assert new_hits == old_hits
+        assert fd.detections_csv(new) == fd.detections_csv(old)
 
     def test_row_blocks_keep_raster_order(self, monkeypatch):
         """A block of one row at a time gives the same hits and counts as one block per scale."""
@@ -213,16 +209,15 @@ class TestScanStats:
             fd, cascade, gray, on_scale=lambda *row: rows.append(row), **kwargs)
         return rows, hits, detections
 
-    @pytest.mark.parametrize("min_size", [None, (12, 12)])
-    def test_counts_match_scan_loop_and_hits(self, min_size):
+    def test_counts_match_scan_loop_and_hits(self):
         rng = np.random.default_rng(9)
         gray = random_image("int", rng)
         cascade = fd.parse_cascade(random_cascade_doc(rng))
-        rows, hits, detections = self._collect(cascade, gray, scale_factor=1.25, min_size=min_size)
+        rows, hits, detections = self._collect(cascade, gray, scale_factor=1.25)
         assert sum(windows for _, _, windows, _ in rows) == scan_loop_windows(
-            cascade, *gray.shape, 1.25, min_size)
+            cascade, *gray.shape, 1.25)
         assert sum(survivors[-1] for *_, survivors in rows) == len(hits)
-        assert detections == run_detect(fd, cascade, gray, scale_factor=1.25, min_size=min_size)[1]
+        assert detections == run_detect(fd, cascade, gray, scale_factor=1.25)[1]
         for scale, size, windows, survivors in rows:
             assert size == (round(cascade.window_w * scale), round(cascade.window_h * scale))
             assert len(survivors) == len(cascade.stages)

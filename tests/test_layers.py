@@ -12,7 +12,10 @@ from fer_forge.tensor import ShapeError
 
 
 def forward(layer, x, train=False, seed=0):
-    return layer.forward(x, train, np.random.default_rng(seed))
+    """``layer.forward``; a training dropout keeps the units of a mask drawn from ``seed``."""
+    if train and layer.kind == "dropout":
+        return layer.forward(x, True, keep=layer.keep_mask(x.shape, np.random.default_rng(seed)))
+    return layer.forward(x, train)
 
 
 def dense_with(weights, bias):
@@ -136,7 +139,12 @@ class TestDropout:
         assert out.dtype == dtype and out.tobytes() == (x * float_mask).tobytes()
         assert layer.backward(grad).tobytes() == (grad * float_mask).tobytes()
         assert np.signbit(out[~keep]).any()
-        assert layer.forward(x, True, None, keep=keep).tobytes() == out.tobytes()
+
+    def test_training_forward_without_a_mask_raises(self):
+        x = np.ones((2, 5))
+        with pytest.raises(TypeError):
+            L.Dropout(0.5).forward(x, True)
+        assert L.Dropout(0.0).forward(x, True) is x  # rate 0 needs no mask
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -262,7 +270,7 @@ class TestAllLayerKindsFiniteDifferences:
         (LayerSpec("dropout", {"rate": 0.3}), (5, 5, 2)),
         (LayerSpec("flatten"), (3, 4, 2)),
         (LayerSpec("softmax"), (7,)),
-        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "stride": 2, "padding": 1}), (7, 7, 9)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "padding": 1}), (7, 7, 9)),
     ]
 
     @pytest.mark.parametrize(
@@ -291,23 +299,23 @@ class TestRetainedCaches:
     def test_conv_keeps_only_its_input_when_training(self):
         layer = self._built(LayerSpec("conv2d", {"filters": 8, "padding": 1}), (6, 6, 16))
         x = np.random.default_rng(1).standard_normal((2, 6, 6, 16)).astype(np.float32)
-        layer.forward(x, True, np.random.default_rng(0))
+        layer.forward(x, True)
         assert layer._cache is x
-        layer.forward(x, False, np.random.default_rng(0))
+        layer.forward(x, False)
         assert layer._cache is None
 
     def test_pool_keeps_one_byte_per_window_when_training(self):
         layer = self._built(LayerSpec("maxpool2d"), (6, 8, 3))
         x = np.random.default_rng(2).standard_normal((2, 6, 8, 3)).astype(np.float32)
-        out = layer.forward(x, True, np.random.default_rng(0))
+        out = layer.forward(x, True)
         assert layer._cache.winners.nbytes == out.size
-        assert np.array_equal(layer.forward(x, False, np.random.default_rng(0)), out)
+        assert np.array_equal(layer.forward(x, False), out)
         assert layer._cache is None
 
     def test_relu_keeps_a_bool_mask_not_its_input(self):
         layer = self._built(LayerSpec("relu"), (4, 4, 3))
         x = np.random.default_rng(4).standard_normal((2, 4, 4, 3)).astype(np.float32)
-        out = layer.forward(x, True, np.random.default_rng(0))
+        out = layer.forward(x, True)
         assert layer._cache.dtype == bool and np.array_equal(layer._cache, out > 0)
         grad = np.random.default_rng(5).standard_normal(x.shape).astype(np.float32)
         assert np.array_equal(layer.backward(grad), grad * (x > 0))
@@ -330,12 +338,12 @@ class TestRetainedCaches:
         hyper, in_shape = self.KINDS[kind]
         layer = self._built(LayerSpec(kind, hyper), in_shape)
         x = np.random.default_rng(3).standard_normal((2, *in_shape)).astype(np.float32)
-        out = layer.forward(x, True, np.random.default_rng(0))
-        inferred = layer.forward(x, False, np.random.default_rng(0))
+        out = forward(layer, x, train=True)
+        inferred = forward(layer, x)
         assert layer._cache is None
         if kind != "dropout":  # dropout's training output is masked
             assert np.array_equal(inferred, out)
-        out = layer.forward(x, True, np.random.default_rng(0))
+        out = forward(layer, x, train=True)
         assert layer.backward(np.ones_like(out)).shape == x.shape
 
 

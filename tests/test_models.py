@@ -119,12 +119,6 @@ class TestProposedCnn:
         assert probs.shape == (7,)
         assert abs(probs.sum() - 1.0) < 1e-6
 
-    def test_same_padding_option(self):
-        net = build_proposed_cnn(padding=1, seed=0)
-        spatial = [s[1] for s in net.shape_trace() if len(s) == 3]
-        distinct = [spatial[0]] + [b for a, b in zip(spatial, spatial[1:]) if b != a]
-        assert distinct == [48, 24, 12]
-
 
 class TestBuildValidation:
     def test_dense_on_unflattened_input_rejected(self):
