@@ -11,6 +11,7 @@ import importlib.resources
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -345,9 +346,13 @@ def cmd_detect(args) -> int:
                            min_neighbors=args.min_neighbors, on_scale=on_scale)
     header, *rows = fd.detections_csv(detections).splitlines()
     if net is not None:
+        # a mean box can end a pixel past the frame, so its part inside is classified
+        height, width = image.shape[:2]
+        faces = [replace(det, w=min(det.w, width - det.x), h=min(det.h, height - det.y))
+                 for det in detections]
         header += "," + ",".join(D.EMOTION_NAMES)
-        rows = [row + "," + ",".join(f"{p:.6f}" for p in net.predict(fd.preprocess_face(image, det)))
-                for row, det in zip(rows, detections)]
+        rows = [row + "," + ",".join(f"{p:.6f}" for p in net.predict(fd.preprocess_face(image, face)))
+                for row, face in zip(rows, faces)]
     print("\n".join([header, *rows]))
     return EXIT_OK
 

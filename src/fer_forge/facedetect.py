@@ -164,10 +164,6 @@ def integral_image(gray: np.ndarray) -> np.ndarray:
     return ii
 
 
-def rect_sum(ii: np.ndarray, x: int, y: int, w: int, h: int):
-    return ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
-
-
 def _scaled(v: int, scale: float) -> int:
     return int(round(v * scale))
 
@@ -178,8 +174,7 @@ _CHUNK_WINDOWS, _CHUNK_PAIRS = 1 << 16, 1 << 14
 
 
 def _cascade_survivors(cascade: CascadeModel, ii: np.ndarray, ii_sq: np.ndarray,
-                       origins: np.ndarray, scale: float,
-                       on_stage: Callable[[int], None] | None = None):
+                       origins: np.ndarray, scale: float):
     """The window origins (flat indices ``y * ii.shape[1] + x``) that pass every
     stage, in order, and the count left after each stage. Only survivors go
     on to the next stage; each window sees the float64 operations of a
@@ -188,7 +183,7 @@ def _cascade_survivors(cascade: CascadeModel, ii: np.ndarray, ii_sq: np.ndarray,
     """
     stride, flat, flat_sq = ii.shape[1], ii.ravel(), ii_sq.ravel()
 
-    def sums(table, x0, y0, x1, y1):  # rect_sum's four lookups, in its order
+    def sums(table, x0, y0, x1, y1):  # ii[y1,x1] - ii[y0,x1] - ii[y1,x0] + ii[y0,x0]
         return (table[origins + (y1 * stride + x1)] - table[origins + (y0 * stride + x1)]
                 - table[origins + (y1 * stride + x0)] + table[origins + (y0 * stride + x0)]
                 ).astype(np.float64, copy=False)
@@ -199,10 +194,8 @@ def _cascade_survivors(cascade: CascadeModel, ii: np.ndarray, ii_sq: np.ndarray,
     variance = np.maximum(sums(flat_sq, 0, 0, win_w, win_h) / area - mean * mean, 0.0)
     norm = np.maximum(np.sqrt(variance), 1.0) * area / (cascade.window_w * cascade.window_h)
     survivors = []
-    for stage_index, stage in enumerate(cascade.stages):
+    for stage in cascade.stages:
         if origins.size:
-            if on_stage is not None:
-                on_stage(stage_index)
             stage_sum = np.zeros(origins.size)
             for stump in stage.stumps:
                 raw = 0.0
@@ -218,33 +211,6 @@ def _cascade_survivors(cascade: CascadeModel, ii: np.ndarray, ii_sq: np.ndarray,
             origins, mean, norm = origins[keep], mean[keep], norm[keep]
         survivors.append(origins.size)
     return origins, survivors
-
-
-def eval_window(
-    cascade: CascadeModel,
-    ii: np.ndarray,
-    ii_sq: np.ndarray,
-    x: int,
-    y: int,
-    scale: float = 1.0,
-    on_stage: Callable[[int], None] | None = None,
-) -> bool:
-    """Run the staged classifier on one window; False at the first failing stage.
-
-    Rect sums are taken relative to the window mean and divided by the
-    window's pixel standard deviation (floored at 1.0) times the window
-    area ratio, so feature values are exactly invariant to positive affine
-    intensity changes and comparable across scales. Rect corners scale by
-    rounding, which keeps them inside the scaled window.
-
-    ``on_stage`` is invoked with each stage index actually evaluated, which
-    lets tests prove the short-circuit.
-    """
-    win_w, win_h = _scaled(cascade.window_w, scale), _scaled(cascade.window_h, scale)
-    if not (0 <= x < ii.shape[1] - win_w and 0 <= y < ii.shape[0] - win_h):
-        raise IndexError(f"{win_w}x{win_h} window at ({x}, {y}) leaves the integral image")
-    origin = np.array([y * ii.shape[1] + x])
-    return _cascade_survivors(cascade, ii, ii_sq, origin, scale, on_stage)[0].size == 1
 
 
 def _join(label: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

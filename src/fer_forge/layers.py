@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    ConvGeometry,
     ShapeError,
     conv2d,
     conv2d_backward,
@@ -83,36 +82,40 @@ def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, 
 
 
 class Conv2D(Layer):
+    """A stride-1, unpadded convolution; ``padding`` is only the 0 every saved arch records."""
+
     kind = "conv2d"
 
     def __init__(self, filters: int, kernel_size: int = 3, padding: int = 0):
         super().__init__()
         if filters < 1:
             raise ValueError(f"filter count must be >= 1, got {filters}")
+        if kernel_size < 1:
+            raise ValueError(f"kernel size must be >= 1, got {kernel_size}")
+        if padding != 0:
+            raise ValueError(f"convolutions are unpadded: padding must be 0, got {padding}")
         self.filters = filters
-        self.geom = ConvGeometry(kernel_size, kernel_size, padding)
+        self.kernel_size = kernel_size
 
     def build(self, in_shape, rng):
         if len(in_shape) != 3:
             raise ShapeError(f"conv2d expects (H,W,C) input, got {in_shape}")
         h, w, c = in_shape
-        oh, ow = self.geom.out_hw(h, w)
-        fan_in = c * self.geom.kernel_h * self.geom.kernel_w
-        kernels = _he_uniform(
-            rng, (self.filters, c, self.geom.kernel_h, self.geom.kernel_w), fan_in, np.float32
-        )
+        k = self.kernel_size
+        if k > min(h, w):
+            raise ShapeError(f"{k}x{k} kernel does not fit a {h}x{w} input")
+        kernels = _he_uniform(rng, (self.filters, c, k, k), c * k * k, np.float32)
         bias = np.zeros(self.filters, dtype=np.float32)
         self.params = [kernels, bias]
-        return (oh, ow, self.filters)
+        return (h - k + 1, w - k + 1, self.filters)
 
     def forward(self, x, train):
         self._cache = x if train else None
-        return conv2d(x, self.params[0], self.params[1], self.geom)
+        return conv2d(x, self.params[0], self.params[1])
 
     def backward(self, grad, input_grad=True):
         self.grads = []  # the last step's gradients go first, lowering the step's peak memory
-        grad_x, *self.grads = conv2d_backward(self._cache, self.params[0], self.geom, grad,
-                                              input_grad)
+        grad_x, *self.grads = conv2d_backward(self._cache, self.params[0], grad, input_grad)
         return grad_x
 
 

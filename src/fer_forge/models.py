@@ -9,11 +9,10 @@ The arch json records the layer stack, input shape and class count, so a
 load rebuilds the exact network and restores bit-identical parameters.
 """
 
-import contextlib
 import json
 import os
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -186,34 +185,18 @@ class Network:
 
 
 def _each_shard(count: int, work) -> list:
-    """``work(k)`` for each shard k: shard 0 on this thread, the others on their own.
+    """``work(k)`` for each shard k, in shard order: shard 0 on this thread, the others
+    on a pool of threads of their own.
 
     While more than one shard runs, OpenBLAS runs on one thread, so that each
     shard's thread keeps one core. Every thread is joined before this returns
     or raises; the first shard's error, in shard order, is raised.
     """
-    results = [None] * count
-    errors = [None] * count
-
-    def run(k):
-        try:
-            results[k] = work(k)
-        except BaseException as exc:  # re-raised on the calling thread below
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, count)]
-    with blas.one_thread() if threads else contextlib.nullcontext():
-        for thread in threads:
-            thread.start()
-        try:
-            results[0] = work(0)
-        finally:
-            for thread in threads:
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    if count == 1:
+        return [work(0)]
+    with blas.one_thread(), ThreadPoolExecutor(count - 1) as pool:
+        rest = pool.map(work, range(1, count))  # submitted before shard 0 starts
+        return [work(0), *rest]
 
 
 def _train_forward(layers, x, keeps):

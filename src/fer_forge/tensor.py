@@ -6,13 +6,14 @@ are unreliable in single precision. The kernels the layers call take and
 return [N,H,W,C] batches; conv kernels keep the model file's
 [C_out,C_in,kh,kw].
 
-Convolution views the (padded) batch as rows [N*H*W, C]: kernel tap (i, j)
+Convolution is stride-1 and unpadded, and its kernel size is read from the
+kernel array. It views the batch as rows [N*H*W, C]: kernel tap (i, j)
 reads the contiguous row slice starting at i*W + j, so the output is a sum
-of one GEMM per tap over the whole padded grid, cropped to the valid
-positions by the bias add; backward reuses the same slices. No
-patch matrix is built or kept. When C_in*kh*kw is small (the single-channel
-first layer) each tap GEMM would be a thin rank-C update, so the operand
-shape selects a transient patch-matrix GEMM instead.
+of one GEMM per tap over the whole grid, cropped to the valid positions by
+the bias add; backward reuses the same slices. No patch matrix is built or
+kept. When C_in*kh*kw is small (the single-channel first layer) each tap
+GEMM would be a thin rank-C update, so the operand shape selects a
+transient patch-matrix GEMM instead.
 """
 
 from dataclasses import dataclass
@@ -24,34 +25,9 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible; names the offending axes."""
 
 
-@dataclass(frozen=True)
-class ConvGeometry:
-    """Spatial geometry of a stride-1 convolution: kernel size and zero padding."""
-
-    kernel_h: int
-    kernel_w: int
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.kernel_h < 1 or self.kernel_w < 1:
-            raise ShapeError(f"kernel dims must be >= 1, got {self.kernel_h}x{self.kernel_w}")
-        if self.padding < 0:
-            raise ShapeError(f"padding must be >= 0, got {self.padding}")
-
-    def out_dim(self, in_dim: int, kernel: int) -> int:
-        out = in_dim + 2 * self.padding - kernel + 1
-        if out < 1:
-            raise ShapeError(
-                f"geometry yields non-positive output dim: in={in_dim} "
-                f"kernel={kernel} padding={self.padding}"
-            )
-        return out
-
-    def out_hw(self, in_h: int, in_w: int) -> tuple[int, int]:
-        return self.out_dim(in_h, self.kernel_h), self.out_dim(in_w, self.kernel_w)
-
-
-def _check_conv_operands(x: np.ndarray, kernels: np.ndarray, geom: ConvGeometry):
+def _conv_out_hw(x: np.ndarray, kernels: np.ndarray) -> tuple[int, int]:
+    """The (oh, ow) of an unpadded stride-1 convolution of ``x`` with ``kernels``,
+    after checking that the operands fit each other."""
     if x.ndim != 4:
         raise ShapeError(f"input must be [N,H,W,C], got shape {x.shape}")
     if kernels.ndim != 4:
@@ -60,20 +36,10 @@ def _check_conv_operands(x: np.ndarray, kernels: np.ndarray, geom: ConvGeometry)
         raise ShapeError(
             f"input channel axis ({x.shape[3]}) does not match kernel C_in axis ({kernels.shape[1]})"
         )
-    if (kernels.shape[2], kernels.shape[3]) != (geom.kernel_h, geom.kernel_w):
-        raise ShapeError(
-            f"kernel spatial axes {kernels.shape[2:]} do not match geometry "
-            f"{(geom.kernel_h, geom.kernel_w)}"
-        )
-
-
-def _padded(x: np.ndarray, padding: int, dtype) -> np.ndarray:
-    """``x`` zero-padded on its spatial axes as a contiguous ``dtype`` array; ``x`` itself
-    when it already is one and ``padding`` is 0."""
-    p = padding
-    if p:
-        x = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    return np.ascontiguousarray(x, dtype=dtype)
+    (h, w), (kh, kw) = x.shape[1:3], kernels.shape[2:]
+    if not (1 <= kh <= h and 1 <= kw <= w):
+        raise ShapeError(f"{kh}x{kw} kernel does not fit a {h}x{w} input")
+    return h - kh + 1, w - kw + 1
 
 
 # Up to this many taps times input channels a patch matrix is cheaper than
@@ -106,56 +72,50 @@ def _sum_of_taps(src: np.ndarray, weights: np.ndarray, offsets: list[int], out: 
             acc += prod
 
 
-def _patches(xp: np.ndarray, geom: ConvGeometry) -> np.ndarray:
-    """Windows of a padded channels-last batch as a transient [N*oh*ow, C*kh*kw] matrix."""
-    view = np.lib.stride_tricks.sliding_window_view(
-        xp, (geom.kernel_h, geom.kernel_w), axis=(1, 2)
-    )  # [N,oh,ow,C,kh,kw]
-    return view.reshape(-1, view.shape[3] * geom.kernel_h * geom.kernel_w)
+def _patches(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Windows of a channels-last batch as a transient [N*oh*ow, C*kh*kw] matrix."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))  # [N,oh,ow,C,kh,kw]
+    return view.reshape(-1, view.shape[3] * kh * kw)
 
 
-def _tap_offsets(geom: ConvGeometry, padded_w: int) -> list[int]:
-    """Row offset of each kernel tap (i, j) in a flattened [N*Hp*Wp, C] batch."""
-    return [i * padded_w + j for i in range(geom.kernel_h) for j in range(geom.kernel_w)]
+def _tap_offsets(kh: int, kw: int, w: int) -> list[int]:
+    """Row offset of each kernel tap (i, j) in a flattened [N*H*W, C] batch."""
+    return [i * w + j for i in range(kh) for j in range(kw)]
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, geom: ConvGeometry) -> np.ndarray:
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlate an [N,H,W,C] batch with ``kernels`` and add per-channel ``bias``.
 
     Each output element is the dot product of one kernel with the
-    corresponding (zero-padded) input window plus that kernel's bias; the
-    result is [N,oh,ow,C_out].
+    corresponding input window plus that kernel's bias; the result is
+    [N,oh,ow,C_out].
     """
-    _check_conv_operands(x, kernels, geom)
+    oh, ow = _conv_out_hw(x, kernels)
     if bias.shape != (kernels.shape[0],):
         raise ShapeError(f"bias axis {bias.shape} does not match C_out ({kernels.shape[0]})")
     n, h, w, c_in = x.shape
-    c_out, kh, kw = kernels.shape[0], geom.kernel_h, geom.kernel_w
-    oh, ow = geom.out_hw(h, w)
+    c_out, _, kh, kw = kernels.shape
     dtype = np.result_type(x, kernels)
-    xp = _padded(x, geom.padding, dtype)
+    x = np.ascontiguousarray(x, dtype=dtype)
     if c_in * kh * kw <= _PATCH_MAX_K:
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
-        grid = (_patches(xp, geom) @ wmat.T).reshape(n, oh, ow, c_out)
+        grid = (_patches(x, kh, kw) @ wmat.T).reshape(n, oh, ow, c_out)
     else:
-        # output over the whole padded grid, cropped to the valid positions
-        # by the bias add
-        _, hp, wp, _ = xp.shape
-        offsets = _tap_offsets(geom, wp)
+        # output over the whole grid, cropped to the valid positions by the bias add
+        offsets = _tap_offsets(kh, kw, w)
         taps = kernels.transpose(2, 3, 1, 0).reshape(kh * kw, c_in, c_out)
-        full = np.empty((n * hp * wp, c_out), dtype=dtype)
+        full = np.empty((n * h * w, c_out), dtype=dtype)
         _sum_of_taps(
-            xp.reshape(-1, c_in), np.ascontiguousarray(taps, dtype=dtype), offsets,
+            x.reshape(-1, c_in), np.ascontiguousarray(taps, dtype=dtype), offsets,
             full[: full.shape[0] - offsets[-1]],
         )
-        grid = full.reshape(n, hp, wp, c_out)[:, :oh, :ow]
+        grid = full.reshape(n, h, w, c_out)[:, :oh, :ow]
     return np.add(grid, bias)
 
 
 def conv2d_backward(
     x: np.ndarray,
     kernels: np.ndarray,
-    geom: ConvGeometry,
     grad_out: np.ndarray,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -164,25 +124,22 @@ def conv2d_backward(
     Returns (grad_input, grad_kernels, grad_bias) for the [N,oh,ow,C_out]
     upstream ``grad_out``. grad_kernels correlates the input windows with
     grad_out; grad_input scatters kernel-weighted grad_out back onto the
-    (padded) input. With ``input_grad=False`` grad_input is not computed
-    and is returned as None.
+    input. With ``input_grad=False`` grad_input is not computed and is
+    returned as None.
     """
-    _check_conv_operands(x, kernels, geom)
+    oh, ow = _conv_out_hw(x, kernels)
     n, h, w, c_in = x.shape
-    c_out, kh, kw = kernels.shape[0], geom.kernel_h, geom.kernel_w
-    oh, ow = geom.out_hw(h, w)
+    c_out, _, kh, kw = kernels.shape
     if grad_out.shape != (n, oh, ow, c_out):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match conv output {(n, oh, ow, c_out)}"
         )
 
     dtype = np.result_type(x, kernels, grad_out)
-    xp = _padded(x, geom.padding, dtype)
-    _, hp, wp, _ = xp.shape
-    p = geom.padding
+    x = np.ascontiguousarray(x, dtype=dtype)
     grad_bias = grad_out.sum(axis=(0, 1, 2))
     if c_in * kh * kw <= _PATCH_MAX_K:
-        cols = _patches(xp, geom)
+        cols = _patches(x, kh, kw)
         g2 = grad_out.reshape(-1, c_out).astype(dtype, copy=False)
         grad_kernels = (g2.T @ cols).reshape(kernels.shape)
         del cols
@@ -190,18 +147,18 @@ def conv2d_backward(
             return None, grad_kernels, grad_bias
         wmat = kernels.reshape(c_out, -1).astype(dtype, copy=False)
         gcols = (g2 @ wmat).reshape(n, oh, ow, c_in, kh, kw)
-        gxp = np.zeros_like(xp)
+        grad_x = np.zeros_like(x)
         for i in range(kh):
             for j in range(kw):
-                gxp[:, i : i + oh, j : j + ow] += gcols[..., i, j]
+                grad_x[:, i : i + oh, j : j + ow] += gcols[..., i, j]
     else:
-        # grad_out placed on the padded grid of forward positions, behind a
-        # zero margin as long as the largest tap offset
-        offsets = _tap_offsets(geom, wp)
+        # grad_out placed on the grid of forward positions, behind a zero
+        # margin as long as the largest tap offset
+        offsets = _tap_offsets(kh, kw, w)
         margin = offsets[-1]
-        gpad = np.zeros((margin + n * hp * wp, c_out), dtype=dtype)
-        gpad[margin:].reshape(n, hp, wp, c_out)[:, :oh, :ow] = grad_out
-        rows = xp.reshape(-1, c_in)
+        gpad = np.zeros((margin + n * h * w, c_out), dtype=dtype)
+        gpad[margin:].reshape(n, h, w, c_out)[:, :oh, :ow] = grad_out
+        rows = x.reshape(-1, c_in)
         used = rows.shape[0] - margin
         g_used = gpad[margin : margin + used]
         grad_taps = np.empty((kh * kw, c_in, c_out), dtype=dtype)
@@ -212,12 +169,12 @@ def conv2d_backward(
             return None, grad_kernels, grad_bias
         # grad_rows[r] = sum_t grid[r - off_t] @ W_t^T, read from the margin
         taps_t = kernels.transpose(2, 3, 0, 1).reshape(kh * kw, c_out, c_in)
-        gxp = np.empty_like(xp)
+        grad_x = np.empty_like(x)
         _sum_of_taps(
             gpad, np.ascontiguousarray(taps_t, dtype=dtype), [margin - o for o in offsets],
-            gxp.reshape(-1, c_in),
+            grad_x.reshape(-1, c_in),
         )
-    return gxp[:, p : hp - p, p : wp - p], grad_kernels, grad_bias
+    return grad_x, grad_kernels, grad_bias
 
 
 @dataclass(frozen=True)

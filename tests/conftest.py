@@ -154,6 +154,18 @@ MALFORMED_ARCHS = {
          "layers": [{"kind": "dense", "hyper": {"units": 7, "init": "glorrot"}}, {"kind": "softmax"}]},
         "arch layer 0",
     ),
+    "conv-padding-1": (
+        {"input_shape": [1, 8, 8], "num_classes": 7,
+         "layers": [{"kind": "conv2d", "hyper": {"filters": 2, "kernel_size": 3, "padding": 1}},
+                    {"kind": "flatten"}, {"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax"}]},
+        "arch layer 0",
+    ),
+    "conv-kernel-0": (
+        {"input_shape": [1, 8, 8], "num_classes": 7,
+         "layers": [{"kind": "conv2d", "hyper": {"filters": 2, "kernel_size": 0, "padding": 0}},
+                    {"kind": "flatten"}, {"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax"}]},
+        "arch layer 0",
+    ),
     "invalid-stack": (
         {"input_shape": [1, 8, 8], "num_classes": 7,
          "layers": [{"kind": "flatten"}, {"kind": "conv2d", "hyper": {"filters": 2}}, {"kind": "softmax"}]},

@@ -1,16 +1,18 @@
 """Write the golden model fixtures used by TestGoldenModel in tests/test_models.py.
 
 The fixtures pin inference and training across kernel rewrites: a tiny
-network whose second conv has 16 input channels (so it reaches the
-per-tap conv path) is built from a fixed seed and saved as
-``golden_tiny.femo``; its class probabilities for four seeded inputs go
-to ``golden_tiny.npz``, and the loss and every parameter gradient of one
-``loss_and_grad`` on those inputs and seeded targets go to
-``golden_tiny_grads.npz``. The committed ``.femo`` and probabilities were
-written by the im2col convolution that preceded the per-tap kernels, and
-the gradients by the NCHW per-tap kernels that preceded the channels-last
-layer stack; a run rewrites all three from the current kernels. Run from
-the repository root:
+network is built from a fixed seed and saved as ``golden_tiny.femo``. Its
+first conv has one input channel (so it takes the patch-matrix path) and
+its second has 16 (so it takes the per-tap path); both are 3x3 and
+unpadded, and the dense layer maps 128 features to 7 classes. Its class
+probabilities for four seeded inputs go to ``golden_tiny.npz``, and the
+loss and every parameter gradient of one ``loss_and_grad`` on those
+inputs and seeded targets go to ``golden_tiny_grads.npz``. The committed
+files were written by the channels-last per-tap and patch-matrix kernels
+of unpadded convolution; ``TestGoldenModel`` also checks the probabilities
+against the direct-loop oracle of ``tests/tensor_oracle.py``, so they do
+not rest on the kernels alone. A run rewrites all three files from the
+current kernels. Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_golden.py
 """
@@ -27,7 +29,7 @@ INPUT_SHAPE = (1, 12, 12)
 SPECS = [
     LayerSpec("conv2d", {"filters": 16, "kernel_size": 3}),
     LayerSpec("relu"),
-    LayerSpec("conv2d", {"filters": 8, "kernel_size": 3, "padding": 1}),
+    LayerSpec("conv2d", {"filters": 8, "kernel_size": 3}),
     LayerSpec("relu"),
     LayerSpec("maxpool2d"),
     LayerSpec("flatten"),

@@ -1,10 +1,10 @@
 """Reference detector: the per-window scan and the quadratic grouping.
 
-These are the package's original ``eval_window``, ``_overlap_ratio``,
-``group_hits`` and ``detect``, kept verbatim as the oracle that the
-array scan and the component grouping in ``fer_forge.facedetect`` must
-reproduce exactly: the same hit list in the same order, and the same
-detections.
+These are the package's original ``rect_sum``, ``eval_window``,
+``_overlap_ratio``, ``group_hits`` and ``detect``, kept verbatim as the
+oracle that the array scan and the component grouping in
+``fer_forge.facedetect`` must reproduce exactly: the same hit list in the
+same order, and the same detections.
 """
 
 from typing import Callable
@@ -17,8 +17,11 @@ from fer_forge.facedetect import (
     _scaled,
     integral_image,
     log,
-    rect_sum,
 )
+
+
+def rect_sum(ii: np.ndarray, x: int, y: int, w: int, h: int):
+    return ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
 
 
 def eval_window(

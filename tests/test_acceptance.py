@@ -18,13 +18,14 @@ from conftest import (
     reject_all_cascade_doc,
     synthetic_dataset,
 )
+from facedetect_oracle import eval_window, rect_sum
 from fer_forge.data import (
     LabeledDataset,
     class_histogram,
     parse_fer_csv,
     split_dataset,
 )
-from fer_forge.facedetect import detect, eval_window, integral_image, parse_cascade, rect_sum
+from fer_forge.facedetect import detect, integral_image, parse_cascade
 from fer_forge.gradcheck import gradcheck_architecture
 from fer_forge.models import (
     build_feedforward,
@@ -34,7 +35,6 @@ from fer_forge.models import (
     save_model,
 )
 from fer_forge.optim import OptimizerConfig
-from fer_forge.tensor import ConvGeometry
 from fer_forge.train import (
     TrainConfig,
     accuracy,
@@ -185,7 +185,7 @@ class TestCriterion6OracleEquivalence:
             x = rng.standard_normal((c_in, size, size)).astype(np.float32)
             kernels = rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32)
             bias = rng.standard_normal(c_out).astype(np.float32)
-            out = conv2d_forward(x, kernels, bias, ConvGeometry(3, 3))
+            out = conv2d_forward(x, kernels, bias)
             oh = size - 2
             ref = np.zeros((c_out, oh, oh), dtype=np.float64)
             for co in range(c_out):

@@ -17,6 +17,7 @@ from conftest import (
     write_arch_only,
 )
 import fer_forge
+from fer_forge import facedetect as fd
 from fer_forge.cli import (
     MANIFEST_KEYS,
     _parse_cell,
@@ -373,6 +374,23 @@ class TestDetectCommand:
         values = lines[1].split(",")
         assert len(values) == 12
         assert abs(sum(float(v) for v in values[5:]) - 1.0) < 1e-4
+
+    def test_with_model_classifies_a_box_that_ends_past_the_frame(self, tmp_path, model_file,
+                                                                   capsys, monkeypatch):
+        # the mean of these hits rounds to x=4, w=26: the box ends at column 30 of 29
+        (box,) = fd.group_hits([(3, 0, 26, 26), (4, 0, 25, 25)], 1)
+        assert box.x + box.w == 30
+        monkeypatch.setattr(fd, "detect", lambda *args, **kwargs: [box])
+        cascade = str(tmp_path / "cascade.json")
+        json.dump(accept_all_cascade_doc(), open(cascade, "w"))
+        image = str(tmp_path / "img.pgm")
+        write_pnm(image, np.random.default_rng(6).integers(0, 256, (29, 29)).astype(np.uint8))
+        code = run("detect", "--cascade", cascade, "--image", image, "--model-file", model_file)
+        assert code == 0
+        values = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert values[:5] == ["4", "0", "26", "26", "2"]  # the box is printed as grouped
+        probs = [float(v) for v in values[5:]]
+        assert len(probs) == 7 and abs(sum(probs) - 1.0) < 1e-4
 
     def test_invalid_cascade_json_exits_2(self, tmp_path, face_pgm):
         cascade = str(tmp_path / "broken.json")

@@ -8,6 +8,7 @@ from conftest import (
     dark_top_cascade_doc,
     reject_all_cascade_doc,
 )
+from facedetect_oracle import eval_window, rect_sum
 from fer_forge.facedetect import (
     CascadeFormatError,
     Detection,
@@ -15,13 +16,11 @@ from fer_forge.facedetect import (
     bilinear_resize,
     detect,
     detections_csv,
-    eval_window,
     group_hits,
     integral_image,
     parse_cascade,
     preprocess_face,
     read_pnm,
-    rect_sum,
     to_grayscale,
     write_pnm,
 )
@@ -80,6 +79,8 @@ class TestIntegralImage:
 
 
 class TestEvalWindow:
+    """The oracle's one-window classifier, which the array scan is checked against."""
+
     def _tables(self, img):
         return integral_image(img), integral_image(np.square(img.astype(np.int64)))
 

@@ -138,30 +138,6 @@ class TestScanMatchesOracle:
         assert blocked == whole and blocked_rows == rows
         assert whole == run_detect(oracle, cascade, gray, scale_factor=1.25)
 
-    def test_eval_window_matches_oracle_on_every_window(self):
-        rng = np.random.default_rng(7)
-        gray = random_image("float", rng, 16, 18)
-        cascade = fd.parse_cascade(random_cascade_doc(rng))
-        ii = fd.integral_image(gray)
-        ii_sq = fd.integral_image(np.square(gray))
-        for scale in (1.0, 1.3):
-            win_w = int(round(cascade.window_w * scale))
-            win_h = int(round(cascade.window_h * scale))
-            for y in range(gray.shape[0] - win_h + 1):
-                for x in range(gray.shape[1] - win_w + 1):
-                    new_stages, old_stages = [], []
-                    new = fd.eval_window(cascade, ii, ii_sq, x, y, scale, new_stages.append)
-                    old = oracle.eval_window(cascade, ii, ii_sq, x, y, scale, old_stages.append)
-                    assert (new, new_stages) == (old, old_stages)
-
-    def test_eval_window_outside_the_image_raises(self):
-        cascade = fd.parse_cascade(accept_all_cascade_doc(8))
-        ii = fd.integral_image(np.zeros((20, 20), dtype=np.int64))
-        assert fd.eval_window(cascade, ii, ii, 12, 12)
-        for x, y in [(13, 0), (0, 13), (-1, 0), (0, -1)]:
-            with pytest.raises(IndexError, match="leaves the integral image"):
-                fd.eval_window(cascade, ii, ii, x, y)
-
 
 def box_sets():
     rng = np.random.default_rng(8)

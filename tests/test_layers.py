@@ -262,7 +262,7 @@ class TestAllLayerKindsFiniteDifferences:
 
     CASES = [  # per-sample input shapes: (H,W,C) images, (D,) features
         (LayerSpec("conv2d", {"filters": 4, "kernel_size": 3}), (8, 8, 2)),
-        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "padding": 1}), (6, 6, 2)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3}), (6, 6, 2)),
         (LayerSpec("maxpool2d"), (6, 6, 2)),
         (LayerSpec("relu"), (5, 5, 2)),
         (LayerSpec("dense", {"units": 6}), (9,)),
@@ -270,7 +270,7 @@ class TestAllLayerKindsFiniteDifferences:
         (LayerSpec("dropout", {"rate": 0.3}), (5, 5, 2)),
         (LayerSpec("flatten"), (3, 4, 2)),
         (LayerSpec("softmax"), (7,)),
-        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3, "padding": 1}), (7, 7, 9)),
+        (LayerSpec("conv2d", {"filters": 3, "kernel_size": 3}), (7, 7, 9)),
     ]
 
     @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ class TestRetainedCaches:
         return layer
 
     def test_conv_keeps_only_its_input_when_training(self):
-        layer = self._built(LayerSpec("conv2d", {"filters": 8, "padding": 1}), (6, 6, 16))
+        layer = self._built(LayerSpec("conv2d", {"filters": 8}), (6, 6, 16))
         x = np.random.default_rng(1).standard_normal((2, 6, 6, 16)).astype(np.float32)
         layer.forward(x, True)
         assert layer._cache is x

@@ -30,6 +30,7 @@ from fer_forge.models import (
     load_model,
     save_model,
 )
+from tensor_oracle import conv2d_forward_direct
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 
@@ -427,10 +428,9 @@ class TestPersistence:
 
 
 class TestGoldenModel:
-    """A model file and probabilities written by the im2col kernels that preceded
-    the per-tap conv, and one step's gradients written by the NCHW per-tap
-    kernels; its second conv has 16 input channels (per-tap path) and its
-    first has one (patch-matrix path). See tests/data/make_golden.py."""
+    """A model file, its probabilities and one step's gradients, written by the
+    channels-last conv kernels; its second conv has 16 input channels (per-tap
+    path) and its first has one (patch-matrix path). See tests/data/make_golden.py."""
 
     def test_probabilities_match_batched_and_single(self):
         net = load_model(str(GOLDEN / "golden_tiny.femo"))
@@ -439,6 +439,17 @@ class TestGoldenModel:
         assert np.abs(batched - ref["probs"]).max() < 1e-5
         for x, probs in zip(ref["inputs"], ref["probs"]):
             assert np.abs(net.predict(x) - probs).max() < 1e-5
+
+    def test_direct_loop_convolution_gives_the_recorded_probabilities(self, monkeypatch):
+        # the recorded probabilities came from the kernels this fixture guards, so check
+        # them once against the direct sliding-window loop
+        def direct_nhwc(x, kernels, bias):
+            return conv2d_forward_direct(x.transpose(0, 3, 1, 2), kernels, bias).transpose(0, 2, 3, 1)
+
+        monkeypatch.setattr(L, "conv2d", direct_nhwc)
+        net = load_model(str(GOLDEN / "golden_tiny.femo"))
+        ref = np.load(GOLDEN / "golden_tiny.npz")
+        assert np.abs(net.forward(ref["inputs"]) - ref["probs"]).max() < 1e-5
 
     def test_one_training_step_matches_the_recorded_gradients(self):
         net = load_model(str(GOLDEN / "golden_tiny.femo"))

@@ -4,7 +4,6 @@ import pytest
 from conftest import matmul
 from fer_forge.gradcheck import fd_gradient, relative_error
 from fer_forge.tensor import (
-    ConvGeometry,
     ShapeError,
     conv2d,
     conv2d_backward,
@@ -26,51 +25,55 @@ def pool_oracle(x):
 
 
 class TestConvGeometry:
+    """Stride 1, no padding: the output is (H - kh + 1, W - kw + 1)."""
+
     def test_output_dim_formula_holds_for_constructed_convs(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             k = int(rng.integers(1, 4))
-            p = int(rng.integers(0, 3))
             size = int(rng.integers(k, 12))
-            geom = ConvGeometry(k, k, p)
             x = rng.standard_normal((1, size, size)).astype(np.float32)
             kernels = rng.standard_normal((2, 1, k, k)).astype(np.float32)
-            out = conv2d_forward(x, kernels, np.zeros(2, np.float32), geom)
-            expected = size + 2 * p - k + 1
+            out = conv2d_forward(x, kernels, np.zeros(2, np.float32))
+            expected = size - k + 1
             assert out.shape == (2, expected, expected)
 
     @pytest.mark.parametrize("kwargs", [
         {"kernel_h": 0, "kernel_w": 3},
         {"kernel_h": 3, "kernel_w": 0},
-        {"kernel_h": 3, "kernel_w": 3, "padding": -1},
+        {"kernel_h": 3, "kernel_w": 6},
     ])
     def test_invalid_geometry_rejected(self, kwargs):
-        with pytest.raises(ShapeError):
-            ConvGeometry(**kwargs)
+        x = np.zeros((1, 5, 5, 1), np.float32)
+        kernels = np.zeros((2, 1, kwargs["kernel_h"], kwargs["kernel_w"]), np.float32)
+        with pytest.raises(ShapeError, match="does not fit"):
+            conv2d(x, kernels, np.zeros(2, np.float32))
+        with pytest.raises(ShapeError, match="does not fit"):
+            conv2d_backward(x, kernels, np.zeros((1, 1, 1, 2), np.float32))
 
     def test_too_small_input_rejected(self):
-        geom = ConvGeometry(3, 3)
-        with pytest.raises(ShapeError):
-            geom.out_dim(2, 3)
+        with pytest.raises(ShapeError, match="3x3 kernel does not fit a 2x2 input"):
+            conv2d(np.zeros((1, 2, 2, 1), np.float32), np.zeros((1, 1, 3, 3), np.float32),
+                   np.zeros(1, np.float32))
 
 
 class TestConv2DForward:
     def test_5x5_with_3x3_kernel_gives_3x3(self):
         x = np.random.default_rng(1).random((1, 5, 5), dtype=np.float32)
         kernels = np.random.default_rng(2).random((1, 1, 3, 3), dtype=np.float32)
-        out = conv2d_forward(x, kernels, np.zeros(1, np.float32), ConvGeometry(3, 3))
+        out = conv2d_forward(x, kernels, np.zeros(1, np.float32))
         assert out.shape == (1, 3, 3)
 
     def test_all_ones_window_sums(self):
         x = np.ones((1, 5, 5), dtype=np.float32)
         kernels = np.ones((1, 1, 3, 3), dtype=np.float32)
-        out = conv2d_forward(x, kernels, np.zeros(1, np.float32), ConvGeometry(3, 3))
+        out = conv2d_forward(x, kernels, np.zeros(1, np.float32))
         assert np.array_equal(out, np.full((1, 3, 3), 9.0, dtype=np.float32))
 
     def test_zero_kernel_annihilates(self):
         x = np.random.default_rng(3).random((2, 6, 6), dtype=np.float32)
         kernels = np.zeros((3, 2, 3, 3), dtype=np.float32)
-        out = conv2d_forward(x, kernels, np.zeros(3, np.float32), ConvGeometry(3, 3))
+        out = conv2d_forward(x, kernels, np.zeros(3, np.float32))
         assert np.array_equal(out, np.zeros((3, 4, 4), dtype=np.float32))
 
     def test_matches_oracle_and_direct_path(self):
@@ -82,22 +85,8 @@ class TestConv2DForward:
             x = rng.standard_normal((c, size, size)).astype(np.float32)
             kernels = rng.standard_normal((c_out, c, 3, 3)).astype(np.float32)
             bias = rng.standard_normal(c_out).astype(np.float32)
-            geom = ConvGeometry(3, 3)
-            fast = conv2d_forward(x, kernels, bias, geom)
-            direct = conv2d_forward_direct(x, kernels, bias, geom)
-            scale = max(1.0, float(np.abs(direct).max()))
-            assert np.abs(fast - direct).max() < 1e-6 * scale
-
-    def test_padding_matches_direct_oracle(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 9, 9)).astype(np.float32)
-        kernels = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        bias = rng.standard_normal(3).astype(np.float32)
-        for padding in (1, 2):
-            geom = ConvGeometry(3, 3, padding)
-            fast = conv2d_forward(x, kernels, bias, geom)
-            direct = conv2d_forward_direct(x, kernels, bias, geom)
-            assert fast.shape == direct.shape == (3, 7 + 2 * padding, 7 + 2 * padding)
+            fast = conv2d_forward(x, kernels, bias)
+            direct = conv2d_forward_direct(x, kernels, bias)
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(fast - direct).max() < 1e-6 * scale
 
@@ -106,22 +95,21 @@ class TestConv2DForward:
         xb = rng.standard_normal((3, 2, 7, 7)).astype(np.float32)
         kernels = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
-        geom = ConvGeometry(3, 3)
-        batched = conv2d_forward(xb, kernels, bias, geom)
-        singles = np.stack([conv2d_forward(xb[i], kernels, bias, geom) for i in range(3)])
+        batched = conv2d_forward(xb, kernels, bias)
+        singles = np.stack([conv2d_forward(xb[i], kernels, bias) for i in range(3)])
         assert np.allclose(batched, singles, atol=1e-6)
 
     def test_channel_mismatch_names_axes(self):
         x = np.zeros((2, 5, 5), dtype=np.float32)
         kernels = np.zeros((1, 3, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError, match="channel"):
-            conv2d_forward(x, kernels, np.zeros(1, np.float32), ConvGeometry(3, 3))
+            conv2d_forward(x, kernels, np.zeros(1, np.float32))
 
     def test_bias_mismatch_rejected(self):
         x = np.zeros((1, 5, 5), dtype=np.float32)
         kernels = np.zeros((2, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError, match="bias"):
-            conv2d_forward(x, kernels, np.zeros(3, np.float32), ConvGeometry(3, 3))
+            conv2d_forward(x, kernels, np.zeros(3, np.float32))
 
 
 class TestConv2DBackward:
@@ -130,7 +118,7 @@ class TestConv2DBackward:
         x = rng.standard_normal((1, 6, 6, 2)).astype(np.float32)
         kernels = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         grad_out = np.zeros((1, 4, 4, 3), np.float32)
-        gx, gk, gb = conv2d_backward(x, kernels, ConvGeometry(3, 3), grad_out)
+        gx, gk, gb = conv2d_backward(x, kernels, grad_out)
         assert not gx.any() and not gk.any() and not gb.any()
 
     def test_1x1_kernel_grad_is_input_weighted_sum(self):
@@ -138,7 +126,7 @@ class TestConv2DBackward:
         x = rng.standard_normal((1, 4, 4, 1))
         kernels = rng.standard_normal((1, 1, 1, 1))
         grad_out = rng.standard_normal((1, 4, 4, 1))
-        _, gk, gb = conv2d_backward(x, kernels, ConvGeometry(1, 1), grad_out)
+        _, gk, gb = conv2d_backward(x, kernels, grad_out)
         assert np.isclose(gk[0, 0, 0, 0], np.sum(x * grad_out))
         assert np.isclose(gb[0], grad_out.sum())
 
@@ -148,41 +136,23 @@ class TestConv2DBackward:
         kernels = rng.standard_normal((2, 1, 3, 3))
         bias = rng.standard_normal(2)
         proj = rng.standard_normal((1, 4, 4, 2))
-        geom = ConvGeometry(3, 3)
 
         def loss():
-            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
+            return float(np.sum(conv2d(x, kernels, bias) * proj))
 
-        gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
+        gx, gk, gb = conv2d_backward(x, kernels, proj)
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
         assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
         assert relative_error(gb, fd_gradient(loss, bias)) < 1e-5
-
-    def test_finite_differences_with_padding(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((1, 7, 7, 2))
-        kernels = rng.standard_normal((2, 2, 3, 3))
-        bias = rng.standard_normal(2)
-        geom = ConvGeometry(3, 3, padding=1)
-        out_shape = conv2d(x, kernels, bias, geom).shape
-        proj = rng.standard_normal(out_shape)
-
-        def loss():
-            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
-
-        gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
-        assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
-        assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
 
     @pytest.mark.parametrize("c_in", [1, 16])  # the patch-matrix and the per-tap path
     def test_without_input_grad_same_parameter_grads(self, c_in):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 8, 8, c_in)).astype(np.float32)
         kernels = rng.standard_normal((4, c_in, 3, 3)).astype(np.float32)
-        grad_out = rng.standard_normal((2, 8, 8, 4)).astype(np.float32)
-        geom = ConvGeometry(3, 3, padding=1)
-        _, gk, gb = conv2d_backward(x, kernels, geom, grad_out)
-        gx, gk_only, gb_only = conv2d_backward(x, kernels, geom, grad_out, input_grad=False)
+        grad_out = rng.standard_normal((2, 6, 6, 4)).astype(np.float32)
+        _, gk, gb = conv2d_backward(x, kernels, grad_out)
+        gx, gk_only, gb_only = conv2d_backward(x, kernels, grad_out, input_grad=False)
         assert gx is None
         assert np.array_equal(gk, gk_only) and np.array_equal(gb, gb_only)
 
@@ -190,21 +160,21 @@ class TestConv2DBackward:
         x = np.zeros((1, 6, 6, 1), dtype=np.float32)
         kernels = np.zeros((1, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError, match="grad_out"):
-            conv2d_backward(x, kernels, ConvGeometry(3, 3), np.zeros((1, 3, 3, 1), np.float32))
+            conv2d_backward(x, kernels, np.zeros((1, 3, 3, 1), np.float32))
 
 
 class TestConvChannelsLast:
     """``conv2d`` itself: [N,H,W,C] in, [N,oh,ow,C_out] out, against the NCHW oracle."""
 
-    @pytest.mark.parametrize("c_in,padding", [(1, 0), (2, 1), (8, 0), (9, 1)])
-    def test_matches_direct_through_a_transpose(self, c_in, padding):
+    @pytest.mark.parametrize("c_in,grow", [(1, 0), (2, 1), (8, 0), (9, 1)])
+    def test_matches_direct_through_a_transpose(self, c_in, grow):
+        # ``grow`` adds that many rows and columns on each side of an 8x7 input
         rng = np.random.default_rng(50 + c_in)
-        x = rng.standard_normal((2, 8, 7, c_in)).astype(np.float32)
+        x = rng.standard_normal((2, 8 + 2 * grow, 7 + 2 * grow, c_in)).astype(np.float32)
         kernels = rng.standard_normal((4, c_in, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
-        geom = ConvGeometry(3, 3, padding)
-        out = conv2d(x, kernels, bias, geom)
-        direct = conv2d_forward_direct(x.transpose(0, 3, 1, 2), kernels, bias, geom)
+        out = conv2d(x, kernels, bias)
+        direct = conv2d_forward_direct(x.transpose(0, 3, 1, 2), kernels, bias)
         assert out.flags.c_contiguous and out.dtype == np.float32
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(out - direct.transpose(0, 2, 3, 1)).max() < 1e-6 * scale
@@ -212,41 +182,40 @@ class TestConvChannelsLast:
     def test_unbatched_input_rejected(self):
         kernels = np.zeros((1, 2, 3, 3), dtype=np.float32)
         with pytest.raises(ShapeError, match=r"\[N,H,W,C\]"):
-            conv2d(np.zeros((5, 5, 2), np.float32), kernels, np.zeros(1, np.float32),
-                   ConvGeometry(3, 3))
+            conv2d(np.zeros((5, 5, 2), np.float32), kernels, np.zeros(1, np.float32))
 
 
 class TestConvTapPath:
     """C_in * kh * kw above the patch-matrix switch: the per-tap GEMM kernels."""
 
-    @pytest.mark.parametrize("c_in,padding", [(8, 0), (16, 1), (9, 1), (12, 2)])
-    def test_forward_matches_direct_on_batches(self, c_in, padding):
+    @pytest.mark.parametrize("c_in,grow", [(8, 0), (16, 1), (9, 1), (12, 2)])
+    def test_forward_matches_direct_on_batches(self, c_in, grow):
+        # ``grow`` adds that many rows and columns on each side of a 9x8 input
         rng = np.random.default_rng(20 + c_in)
-        x = rng.standard_normal((3, c_in, 9, 8)).astype(np.float32)
+        x = rng.standard_normal((3, c_in, 9 + 2 * grow, 8 + 2 * grow)).astype(np.float32)
         kernels = rng.standard_normal((5, c_in, 3, 3)).astype(np.float32)
         bias = rng.standard_normal(5).astype(np.float32)
-        geom = ConvGeometry(3, 3, padding)
-        fast = conv2d_forward(x, kernels, bias, geom)
-        direct = conv2d_forward_direct(x, kernels, bias, geom)
+        fast = conv2d_forward(x, kernels, bias)
+        direct = conv2d_forward_direct(x, kernels, bias)
         assert fast.shape == direct.shape and fast.dtype == np.float32
         scale = max(1.0, float(np.abs(direct).max()))
         assert np.abs(fast - direct).max() < 1e-6 * scale
-        singles = np.stack([conv2d_forward(x[i], kernels, bias, geom) for i in range(3)])
+        singles = np.stack([conv2d_forward(x[i], kernels, bias) for i in range(3)])
         assert np.array_equal(singles, fast)
 
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_finite_differences_batch(self, padding):
-        rng = np.random.default_rng(31 + padding)
-        x = rng.standard_normal((2, 7, 6, 10))
+    @pytest.mark.parametrize("grow", [0, 1])
+    def test_finite_differences_batch(self, grow):
+        # ``grow`` adds that many rows and columns on each side of a 7x6 input
+        rng = np.random.default_rng(31 + grow)
+        x = rng.standard_normal((2, 7 + 2 * grow, 6 + 2 * grow, 10))
         kernels = rng.standard_normal((3, 10, 3, 3))
         bias = rng.standard_normal(3)
-        geom = ConvGeometry(3, 3, padding)
-        proj = rng.standard_normal(conv2d(x, kernels, bias, geom).shape)
+        proj = rng.standard_normal(conv2d(x, kernels, bias).shape)
 
         def loss():
-            return float(np.sum(conv2d(x, kernels, bias, geom) * proj))
+            return float(np.sum(conv2d(x, kernels, bias) * proj))
 
-        gx, gk, gb = conv2d_backward(x, kernels, geom, proj)
+        gx, gk, gb = conv2d_backward(x, kernels, proj)
         assert gx.dtype == gk.dtype == np.float64
         assert relative_error(gx, fd_gradient(loss, x)) < 1e-5
         assert relative_error(gk, fd_gradient(loss, kernels)) < 1e-5
@@ -256,11 +225,10 @@ class TestConvTapPath:
         rng = np.random.default_rng(40)
         x = rng.standard_normal((4, 10, 10, 32))
         kernels = rng.standard_normal((16, 32, 3, 3))
-        grad_out = rng.standard_normal((4, 10, 10, 16))
-        geom = ConvGeometry(3, 3, padding=1)
-        exact = conv2d_backward(x, kernels, geom, grad_out)
+        grad_out = rng.standard_normal((4, 8, 8, 16))
+        exact = conv2d_backward(x, kernels, grad_out)
         single = conv2d_backward(
-            x.astype(np.float32), kernels.astype(np.float32), geom, grad_out.astype(np.float32)
+            x.astype(np.float32), kernels.astype(np.float32), grad_out.astype(np.float32)
         )
         for a, b in zip(exact, single):
             assert b.dtype == np.float32
