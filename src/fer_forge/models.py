@@ -12,7 +12,6 @@ load rebuilds the exact network and restores bit-identical parameters.
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +26,7 @@ FORMAT_VERSION = 1
 INPUT_SHAPE = (1, 48, 48)  # one image, channels first
 _MAX_DIM = 1 << 31
 _MAX_ELEMENTS = 1 << 31
+SHARD_IMAGES = 16  # the most images one shard of an inference forward holds
 
 
 class ModelFileError(Exception):
@@ -107,12 +107,25 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities [N,num_classes] for an [N,*input_shape] batch, in inference
-        mode: no dropout, no caches. Training runs through ``loss_and_grad``."""
+        mode: no dropout, no caches. Training runs through ``loss_and_grad``.
+
+        More than SHARD_IMAGES images are cut into ceil(N/SHARD_IMAGES) contiguous
+        shards of near-equal size. Lane j of ``blas.lane_count`` takes shards j,
+        j+lanes, ...: lane 0 on ``layers``, each other lane on replica layers that
+        share their parameters. A row depends on its shard, not on the lane or
+        BLAS thread count.
+        """
         self._check_batch(x)
-        out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
-        for layer in self.layers:
-            out = layer.forward(out, False)
-        return out
+        n = x.shape[0]
+        count = -(-n // SHARD_IMAGES)
+        if count <= 1:
+            return _infer(self.layers, x)
+        lanes = blas.lane_count(count)
+        stacks = [self.layers] + [self._replica() for _ in range(1, lanes)]
+        rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+        out = blas.each_lane(lanes, lambda j: [_infer(stacks[j], x[rows[k]])
+                                           for k in range(j, count, lanes)])
+        return np.concatenate([out[k % lanes][k // lanes] for k in range(count)])
 
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Class probabilities for one preprocessed [1,48,48] image."""
@@ -124,14 +137,14 @@ class Network:
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
         The trunk, every layer before ``Flatten``, runs forward and backward
-        on ``blas.shard_count`` contiguous shards of the batch at once: shard 0
-        on ``layers`` on this thread, each other shard on its own thread, on
-        replica layers that share ``layers``' parameters. The head, the rest,
-        runs once on the whole batch on this thread. Every dropout mask, the
-        trunk's and the head's, is drawn from ``rng`` for the whole batch
-        first, in layer order, so the probabilities do not depend on the shard
-        count; each trunk layer's gradients are the shards' sums, added in
-        shard order.
+        on ``blas.lane_count`` contiguous shards of the batch at once, one per
+        lane: shard 0 on ``layers`` on this thread, each other shard on its
+        lane's thread, on replica layers that share ``layers``' parameters. The
+        head, the rest, runs once on the whole batch on this thread. Every
+        dropout mask, the trunk's and the head's, is drawn from ``rng`` for the
+        whole batch first, in layer order, so the probabilities do not depend on
+        the shard count; each trunk layer's gradients are the shards' sums,
+        added in shard order.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
@@ -145,8 +158,8 @@ class Network:
         keeps = [layer.keep_mask((n, *shape), rng) if layer.kind == "dropout" else None
                  for layer, shape in zip(self.layers, self._trace)]
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
-        count = blas.shard_count(n if t else 1)  # no trunk, nothing to shard
-        stacks = [self.layers[:t]] + [self._replica_trunk() for _ in range(1, count)]
+        count = blas.lane_count(n if t else 1)  # no trunk, nothing to shard
+        stacks = [self.layers[:t]] + [self._replica(t) for _ in range(1, count)]
         rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
         def trunk_forward(k):
@@ -154,7 +167,7 @@ class Network:
             shard = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
             return _train_forward(stacks[k], shard, shard_keeps)
 
-        out = _each_shard(count, trunk_forward)
+        out = blas.each_lane(count, trunk_forward)
         out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
         probs = _train_forward(self.layers[t:], out, keeps[t:])
         loss = cross_entropy_loss(probs, target_onehot)
@@ -162,16 +175,16 @@ class Network:
             loss += layer.penalty()
         grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
         if lowest < t:
-            _each_shard(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
+            blas.each_lane(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
             for replica in stacks[1:]:
                 for layer, copy in zip(self.layers, replica):
                     for g, g_copy in zip(layer.grads, copy.grads):
                         g += g_copy
         return loss, probs
 
-    def _replica_trunk(self) -> list[L.Layer]:
-        """Fresh trunk layers that share this network's parameter arrays."""
-        replica = [spec.materialize() for spec in self.specs[: self._trunk]]
+    def _replica(self, stop: int | None = None) -> list[L.Layer]:
+        """Fresh copies of ``layers[:stop]`` that share this network's parameter arrays."""
+        replica = [spec.materialize() for spec in self.specs[:stop]]
         for copy, layer in zip(replica, self.layers):
             copy.params = layer.params
         return replica
@@ -184,19 +197,12 @@ class Network:
         }
 
 
-def _each_shard(count: int, work) -> list:
-    """``work(k)`` for each shard k, in shard order: shard 0 on this thread, the others
-    on a pool of threads of their own.
-
-    While more than one shard runs, OpenBLAS runs on one thread, so that each
-    shard's thread keeps one core. Every thread is joined before this returns
-    or raises; the first shard's error, in shard order, is raised.
-    """
-    if count == 1:
-        return [work(0)]
-    with blas.one_thread(), ThreadPoolExecutor(count - 1) as pool:
-        rest = pool.map(work, range(1, count))  # submitted before shard 0 starts
-        return [work(0), *rest]
+def _infer(layers, x):
+    """An NCHW batch ``x`` through ``layers`` in inference mode."""
+    out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
+    for layer in layers:
+        out = layer.forward(out, False)
+    return out
 
 
 def _train_forward(layers, x, keeps):

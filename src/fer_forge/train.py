@@ -134,9 +134,10 @@ def argmax_labels(probs: np.ndarray) -> np.ndarray:
 def evaluate(net: Network, dataset: LabeledDataset):
     """Dropout-free predictions over a dataset: (accuracy, probs, preds).
 
-    Images go through in batches of EVAL_BATCH, which bounds the transient
-    activations and per-tap GEMM products of the conv layers, not the
-    result quality.
+    Images go through ``Network.forward`` in batches of EVAL_BATCH, which
+    runs each batch as shards of at most ``models.SHARD_IMAGES`` images; the
+    shards, not EVAL_BATCH, bound the transient activations and per-tap GEMM
+    products of the conv layers.
     """
     all_probs = np.zeros((len(dataset), NUM_CLASSES), dtype=np.float32)
     for start in range(0, len(dataset), EVAL_BATCH):

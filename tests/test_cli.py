@@ -28,7 +28,7 @@ from fer_forge.cli import (
 )
 from fer_forge.facedetect import write_pnm
 from fer_forge.layers import LayerSpec
-from fer_forge.models import Network, build_feedforward, save_model
+from fer_forge.models import Network, build_feedforward, build_simple_cnn, save_model
 
 
 @pytest.fixture
@@ -391,6 +391,24 @@ class TestDetectCommand:
         assert values[:5] == ["4", "0", "26", "26", "2"]  # the box is printed as grouped
         probs = [float(v) for v in values[5:]]
         assert len(probs) == 7 and abs(sum(probs) - 1.0) < 1e-4
+
+    def test_with_model_each_face_row_is_its_own_predict(self, tmp_path, capsys, monkeypatch):
+        boxes = [fd.Detection(0, 0, 24, 24, 3), fd.Detection(10, 4, 30, 30, 2),
+                 fd.Detection(20, 12, 20, 20, 1), fd.Detection(5, 20, 16, 16, 4)]
+        monkeypatch.setattr(fd, "detect", lambda *args, **kwargs: boxes)
+        cascade = str(tmp_path / "cascade.json")
+        json.dump(accept_all_cascade_doc(), open(cascade, "w"))
+        pixels = np.random.default_rng(7).integers(0, 256, (36, 40)).astype(np.uint8)
+        image = str(tmp_path / "img.pgm")
+        write_pnm(image, pixels)
+        model = str(tmp_path / "simple.femo")
+        net = build_simple_cnn(seed=3)
+        save_model(net, model)
+        code = run("detect", "--cascade", cascade, "--image", image, "--model-file", model)
+        assert code == 0
+        expected = [f"{b.x},{b.y},{b.w},{b.h},{b.neighbors}," + ",".join(
+            f"{p:.6f}" for p in net.predict(fd.preprocess_face(pixels, b))) for b in boxes]
+        assert capsys.readouterr().out.strip().split("\n")[1:] == expected
 
     def test_invalid_cascade_json_exits_2(self, tmp_path, face_pgm):
         cascade = str(tmp_path / "broken.json")

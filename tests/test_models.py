@@ -4,6 +4,7 @@ import re
 import struct
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +204,9 @@ class TestLossAndGrad:
         return rng.random((3, 1, 48, 48), dtype=np.float32), np.eye(7, dtype=np.float32)[[0, 4, 6]]
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_gradients_equal_a_backward_through_every_layer(self, name, pin_blas_threads):
-        pin_blas_threads(1)  # one shard: the layers keep the whole batch's caches
+    def test_gradients_equal_a_backward_through_every_layer(self, name, monkeypatch):
+        # one core, one shard: the layers keep the whole batch's caches
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         net = Network(self.SPECS[name], seed=2)
         x, targets = self.batch()
         _, probs = net.loss_and_grad(x, targets)
@@ -227,16 +229,22 @@ class TestLossAndGrad:
 
 
 def shard_count(pin, monkeypatch, count, threads=None):
-    """Make a training step run ``count`` shards, whatever the cores here, with OpenBLAS
-    at ``threads`` threads (default ``count``)."""
+    """Make a training step run up to ``count`` shards, and a forward up to ``count``
+    lanes, whatever the cores here, with OpenBLAS at ``threads`` threads (default
+    ``count``)."""
     if blas.blas_threads() is None:
         pytest.skip("no OpenBLAS thread count to read and set")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     pin(threads or count)
 
 
+def only_lane_threads_started(before) -> bool:
+    """Whether every thread alive now but not in ``before`` is one of the lane pool's."""
+    return all(t.name.startswith("fer_forge-lane-") for t in set(threading.enumerate()) - before)
+
+
 class TestShardedStep:
-    """A training step runs the layers before Flatten on one batch shard per BLAS thread."""
+    """A training step runs the layers before Flatten on one batch shard per usable core."""
 
     def step(self, name, n, seed=3):
         net = Network(ARCHITECTURE_SPECS[name](), seed=seed)
@@ -255,7 +263,7 @@ class TestShardedStep:
         shard_count(pin_blas_threads, monkeypatch, 1, threads=shards)
         ref, ref_loss, ref_probs = self.step(name, n)
         shard_count(pin_blas_threads, monkeypatch, shards)
-        threads = threading.active_count()
+        threads = set(threading.enumerate())
         seen, blas_at = set(), {}
         conv_forward, dense_forward = L.Conv2D.forward, L.Dense.forward
 
@@ -276,7 +284,7 @@ class TestShardedStep:
             net, loss, probs = self.step(name, n)
         finally:
             sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+        assert only_lane_threads_started(threads)
         assert len(seen) == min(shards, n)
         # OpenBLAS runs on one thread while the shards run beside each other, and on
         # every thread for the head
@@ -308,7 +316,7 @@ class TestShardedStep:
     def test_worker_error_propagates_after_every_thread_ends(self, shards, pin_blas_threads,
                                                              monkeypatch):
         shard_count(pin_blas_threads, monkeypatch, shards)
-        threads = threading.active_count()
+        threads = set(threading.enumerate())
         relu_backward = L.ReLU.backward
 
         def fail_off_the_main_thread(layer, grad):
@@ -319,7 +327,7 @@ class TestShardedStep:
         monkeypatch.setattr(L.ReLU, "backward", fail_off_the_main_thread)
         with pytest.raises(RuntimeError, match="worker shard failed"):
             self.step("simple_cnn", 5)
-        assert threading.active_count() == threads
+        assert only_lane_threads_started(threads)
         assert blas.blas_threads() == shards
 
     def test_a_network_without_a_trunk_looks_up_no_blas(self, monkeypatch):
@@ -331,6 +339,115 @@ class TestShardedStep:
         assert np.isfinite(loss) and probs.shape == (5, 7)
 
 
+class TestShardedForward:
+    """A forward on more than 16 images runs 16-image shards on one lane per usable core."""
+
+    SIZES = (1, 16, 17, 37, 64)
+
+    def batch(self, n, seed=4):
+        return np.random.default_rng(seed).random((n, 1, 48, 48), dtype=np.float32)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["ffnn", "simple_cnn", "proposed_cnn"])
+    def test_lanes_match_one_lane(self, name, threads, pin_blas_threads, monkeypatch):
+        net = Network(ARCHITECTURE_SPECS[name](), seed=5)
+        x = self.batch(max(self.SIZES))
+        shard_count(pin_blas_threads, monkeypatch, 1, threads=threads)
+        one_lane = [net.forward(x[:n]) for n in self.SIZES]
+        for cores in (2, 3):
+            shard_count(pin_blas_threads, monkeypatch, cores, threads=threads)
+            for n, ref in zip(self.SIZES, one_lane):
+                assert np.array_equal(net.forward(x[:n]), ref), (cores, n)
+            assert blas.blas_threads() == threads
+
+    @pytest.mark.parametrize("n", [17, 64])
+    def test_lanes_run_on_their_own_threads_and_replicas(self, n, pin_blas_threads,
+                                                         monkeypatch):
+        net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
+        shard_count(pin_blas_threads, monkeypatch, 3, threads=2)
+        calls = []  # (thread, whether the layer is one of net.layers, BLAS threads)
+        conv_forward = L.Conv2D.forward
+
+        def conv_spy(layer, *args, **kwargs):
+            calls.append((threading.get_ident(), any(layer is own for own in net.layers),
+                          blas.blas_threads()))
+            return conv_forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(L.Conv2D, "forward", conv_spy)
+        threads = set(threading.enumerate())
+        probs = net.forward(self.batch(n))
+        lanes = min(3, -(-n // 16))
+        assert probs.shape == (n, 7)
+        assert len({thread for thread, _, _ in calls}) == lanes
+        main = threading.get_ident()
+        assert all((thread == main) == own for thread, own, _ in calls)
+        assert {blas_at for _, _, blas_at in calls} == {1}
+        assert blas.blas_threads() == 2
+        assert only_lane_threads_started(threads)
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("name", ["ffnn", "proposed_cnn"])
+    def test_a_small_batch_reads_no_blas_and_starts_no_lane(self, name, n, monkeypatch):
+        def fail(*args):
+            raise AssertionError("BLAS thread count read or a lane started")
+
+        monkeypatch.setattr(blas, "blas_threads", fail)
+        monkeypatch.setattr(blas, "each_lane", fail)
+        net = Network(ARCHITECTURE_SPECS[name](), seed=5)
+        x = self.batch(n)
+        assert net.forward(x).shape == (n, 7)
+        assert net.predict(x[0]).shape == (7,)
+
+    def test_a_count_that_cannot_be_set_runs_every_shard_here(self, monkeypatch):
+        net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
+        x = self.batch(40)
+        expected = np.concatenate([net.forward(x[a:b]) for a, b in ((0, 13), (13, 26), (26, 40))])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(blas, "blas_threads", lambda: None)
+        threads = set(threading.enumerate())
+        seen = set()
+        conv_forward = L.Conv2D.forward
+
+        def conv_spy(layer, *args, **kwargs):
+            seen.add(threading.get_ident())
+            return conv_forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(L.Conv2D, "forward", conv_spy)
+        assert np.array_equal(net.forward(x), expected)
+        assert seen == {threading.get_ident()}
+        assert set(threading.enumerate()) <= threads
+
+    def test_lane_error_is_raised_after_every_lane_ends(self, pin_blas_threads, monkeypatch):
+        shard_count(pin_blas_threads, monkeypatch, 3, threads=2)
+        net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
+        finished = []  # the threads that ran a softmax: the end of a shard
+        lane_thread = {}
+        relu_forward, softmax_forward = L.ReLU.forward, L.Softmax.forward
+
+        def fail_in_one_lane(layer, *args, **kwargs):
+            me = threading.get_ident()
+            if me != threading.main_thread().ident and lane_thread.setdefault("failing", me) == me:
+                raise RuntimeError("lane failed")
+            return relu_forward(layer, *args, **kwargs)
+
+        def softmax_spy(layer, *args, **kwargs):
+            if threading.get_ident() != threading.main_thread().ident:
+                time.sleep(0.3)  # the last lane ends well after the others
+            finished.append(threading.get_ident())
+            return softmax_forward(layer, *args, **kwargs)
+
+        monkeypatch.setattr(L.ReLU, "forward", fail_in_one_lane)
+        monkeypatch.setattr(L.Softmax, "forward", softmax_spy)
+        threads = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="lane failed"):
+            net.forward(self.batch(64))  # 4 shards on 3 lanes: 0 and 3, 1, 2
+        main = threading.main_thread().ident
+        assert finished.count(main) == 2 and len(set(finished) - {main}) == 1
+        assert lane_thread["failing"] not in finished
+        assert blas.blas_threads() == 2
+        assert only_lane_threads_started(threads)
+
+
 class TestBlas:
     def test_thread_count_round_trips(self, pin_blas_threads):
         if blas.blas_threads() is None:
@@ -339,6 +456,39 @@ class TestBlas:
         assert blas.blas_threads() == 3
         pin_blas_threads(1)
         assert blas.blas_threads() == 1
+
+    def test_overlapping_holders_keep_one_thread_until_the_last_leaves(self, pin_blas_threads):
+        if blas.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to read and set")
+        pin_blas_threads(3)
+        both_in, first_out = threading.Barrier(2, timeout=60), threading.Event()
+        readings = {"first": [], "second": []}
+
+        def hold(name):
+            with blas.one_thread():
+                both_in.wait()
+                readings[name].append(blas.blas_threads())
+                if name == "second":  # leaves last, though it came in last
+                    assert first_out.wait(60)
+                    readings[name].append(blas.blas_threads())
+            if name == "first":
+                first_out.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                workers = [threading.Thread(target=hold, args=(name,)) for name in readings]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(60)
+                    assert not worker.is_alive()
+                first_out.clear()
+                assert blas.blas_threads() == 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert readings == {"first": [1] * 20, "second": [1] * 40}
 
 
 class TestPersistence:

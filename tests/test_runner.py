@@ -1,11 +1,17 @@
 """The one run path: `train` and every `sweep` cell go through `cli.run_cell`."""
 
 import argparse
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fer_forge
 import fer_forge.data as D
+from fer_forge import blas
 from conftest import make_fer_csv, random_rows
 from fer_forge.cli import build_parser, main
 from fer_forge.models import (
@@ -68,6 +74,46 @@ def test_process_pool_sweep_matches_serial(tmp_path, dataset_csv, monkeypatch, c
     assert (pooled / "sweep_results.csv").read_bytes() == expected
     for cell_file in ("cell_00_ffnn_adam_b6_e1/ffnn.femo", "cell_01_tree_sgd_b6_e1/tree.txt"):
         assert (pooled / cell_file).read_bytes() == (serial / cell_file).read_bytes()
+
+
+FORKED_SWEEP = """
+import os, sys, threading
+import numpy as np
+from fer_forge.cli import main
+from fer_forge.models import build_simple_cnn
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two lanes here and in the forked workers
+build_simple_cnn(seed=1).forward(np.zeros((32, 1, 48, 48), np.float32))
+assert any(t.name.startswith("fer_forge-lane-") for t in threading.enumerate())
+os.environ["FER_FORGE_THREADS"] = "2"
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_forked_sweep_after_a_sharded_forward_matches_serial(tmp_path, dataset_csv,
+                                                             monkeypatch):
+    # a worker forked from a process whose lane threads exist must start its own
+    if blas.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread count to read and set")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = tmp_path / "grid.manifest"
+    grid.write_text("cell = simple_cnn,adam,6,1,0.001,0\ncell = simple_cnn,sgd,6,1,0.01,0\n")
+    args = ["sweep", "--data", dataset_csv, "--manifest", str(grid), "--seed", "3", "--out"]
+    assert main([*args, str(tmp_path / "serial")]) == 0
+    src = os.path.dirname(os.path.dirname(fer_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    sweep = subprocess.Popen([sys.executable, "-c", FORKED_SWEEP, *args, str(tmp_path / "forked")],
+                             env=env, stdout=subprocess.DEVNULL, start_new_session=True)
+    try:
+        assert sweep.wait(timeout=120) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(sweep.pid, signal.SIGKILL)  # the workers too
+        sweep.wait()
+        pytest.fail("the forked sweep did not finish")
+    for name in ("sweep_results.csv", "cell_00_simple_cnn_adam_b6_e1/simple_cnn.femo",
+                 "cell_01_simple_cnn_sgd_b6_e1/simple_cnn.femo"):
+        forked, serial = (tmp_path / side / name for side in ("forked", "serial"))
+        assert forked.read_bytes() == serial.read_bytes()
 
 
 @pytest.mark.parametrize("content, where", [
