@@ -90,11 +90,9 @@ def one_thread():
 def each_lane(lanes: int, work) -> list:
     """``work(j)`` for each lane j, in lane order: lane 0 on this thread, each other lane
     on a thread of its own, started by the first call that needs it and kept for the
-    life of the process. While more than one lane runs, OpenBLAS runs on one thread,
-    so that each lane keeps one core. Every lane ends before this returns or raises;
-    the first lane's error, in lane order, is raised."""
-    if lanes == 1:
-        return [work(0)]
+    life of the process. While the lanes run, OpenBLAS runs on one thread, so that
+    each lane keeps one core. Every lane ends before this returns or raises; the
+    first lane's error, in lane order, is raised."""
     with one_thread():
         with _lock:
             while len(_lanes) < lanes - 1:

@@ -9,6 +9,7 @@ The arch json records the layer stack, input shape and class count, so a
 load rebuilds the exact network and restores bit-identical parameters.
 """
 
+import functools
 import json
 import os
 import struct
@@ -26,7 +27,7 @@ FORMAT_VERSION = 1
 INPUT_SHAPE = (1, 48, 48)  # one image, channels first
 _MAX_DIM = 1 << 31
 _MAX_ELEMENTS = 1 << 31
-SHARD_IMAGES = 16  # the most images one shard of an inference forward holds
+SHARD_IMAGES = 16  # the most images one shard of a batched forward or training trunk holds
 
 
 class ModelFileError(Exception):
@@ -107,25 +108,14 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities [N,num_classes] for an [N,*input_shape] batch, in inference
-        mode: no dropout, no caches. Training runs through ``loss_and_grad``.
-
-        More than SHARD_IMAGES images are cut into ceil(N/SHARD_IMAGES) contiguous
-        shards of near-equal size. Lane j of ``blas.lane_count`` takes shards j,
-        j+lanes, ...: lane 0 on ``layers``, each other lane on replica layers that
-        share their parameters. A row depends on its shard, not on the lane or
-        BLAS thread count.
-        """
+        mode: no dropout, no caches. Training runs through ``loss_and_grad``. The batch
+        runs as ``_each_shard``'s shards, lane 0 on ``layers`` and each other lane on
+        replica layers that share their parameters; a row depends on its shard, not on
+        the lane or BLAS thread count."""
         self._check_batch(x)
-        n = x.shape[0]
-        count = -(-n // SHARD_IMAGES)
-        if count <= 1:
-            return _infer(self.layers, x)
-        lanes = blas.lane_count(count)
-        stacks = [self.layers] + [self._replica() for _ in range(1, lanes)]
-        rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
-        out = blas.each_lane(lanes, lambda j: [_infer(stacks[j], x[rows[k]])
-                                           for k in range(j, count, lanes)])
-        return np.concatenate([out[k % lanes][k // lanes] for k in range(count)])
+        stack = functools.cache(lambda j: self._replica() if j else self.layers)  # per lane
+        out = _each_shard(x.shape[0], lambda j, k, rows: _infer(stack(j), x[rows]))
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def predict(self, image: np.ndarray) -> np.ndarray:
         """Class probabilities for one preprocessed [1,48,48] image."""
@@ -136,15 +126,13 @@ class Network:
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
-        The trunk, every layer before ``Flatten``, runs forward and backward
-        on ``blas.lane_count`` contiguous shards of the batch at once, one per
-        lane: shard 0 on ``layers`` on this thread, each other shard on its
-        lane's thread, on replica layers that share ``layers``' parameters. The
-        head, the rest, runs once on the whole batch on this thread. Every
-        dropout mask, the trunk's and the head's, is drawn from ``rng`` for the
-        whole batch first, in layer order, so the probabilities do not depend on
-        the shard count; each trunk layer's gradients are the shards' sums,
-        added in shard order.
+        The trunk, every layer before ``Flatten``, runs forward and backward as
+        ``_each_shard``'s shards with OpenBLAS at one thread: shard 0 on ``layers``,
+        each other shard on replica layers of its own, which share the parameters
+        and keep its caches until its backward. The head, the rest, runs once on
+        the whole batch on this thread. Every dropout mask is drawn from ``rng`` for
+        the whole batch first, in layer order. Each trunk gradient is the shards'
+        sum, added in shard order, so its bytes depend on the batch, not the host.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
@@ -158,25 +146,27 @@ class Network:
         keeps = [layer.keep_mask((n, *shape), rng) if layer.kind == "dropout" else None
                  for layer, shape in zip(self.layers, self._trace)]
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
-        count = blas.lane_count(n if t else 1)  # no trunk, nothing to shard
-        stacks = [self.layers[:t]] + [self._replica(t) for _ in range(1, count)]
-        rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+        x = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
 
-        def trunk_forward(k):
-            shard_keeps = [keep if keep is None else keep[rows[k]] for keep in keeps[:t]]
-            shard = np.moveaxis(x[rows[k]], 1, -1)  # NCHW -> NHWC, a view
-            return _train_forward(stacks[k], shard, shard_keeps)
+        def trunk_forward(j, k, rows):
+            stack = self._replica(t) if k else self.layers[:t]
+            shard_keeps = [keep if keep is None else keep[rows] for keep in keeps[:t]]
+            return stack, _train_forward(stack, x[rows], shard_keeps)
 
-        out = blas.each_lane(count, trunk_forward)
-        out = out[0] if count == 1 else np.concatenate(out)  # the shards' outputs go
+        out = x
+        if t:  # without a trunk, no BLAS count is read and no lane starts
+            with blas.one_thread():
+                stacks, out = zip(*_each_shard(n, trunk_forward))
+            out = out[0] if len(out) == 1 else np.concatenate(out)  # the shards' outputs go
         probs = _train_forward(self.layers[t:], out, keeps[t:])
         loss = cross_entropy_loss(probs, target_onehot)
         for layer in self.layers:
             loss += layer.penalty()
         grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
         if lowest < t:
-            blas.each_lane(count, lambda k: _backward(stacks[k], grad[rows[k]], lowest))
-            for replica in stacks[1:]:
+            with blas.one_thread():
+                _each_shard(n, lambda j, k, rows: _backward(stacks[k], grad[rows], lowest))
+            for replica in stacks[1:]:  # shard order
                 for layer, copy in zip(self.layers, replica):
                     for g, g_copy in zip(layer.grads, copy.grads):
                         g += g_copy
@@ -197,6 +187,19 @@ class Network:
         }
 
 
+def _each_shard(n: int, work) -> list:
+    """``work(j, k, rows)`` for each of the ceil(n/SHARD_IMAGES) contiguous shards of an
+    n-image batch, in shard order: shard k holds ``rows`` n*k//count to n*(k+1)//count,
+    lane j of ``blas.lane_count`` runs shards j, j+lanes, ...; one lane runs all here."""
+    count = -(-n // SHARD_IMAGES) or 1
+    rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+    lanes = blas.lane_count(count)
+    if lanes == 1:
+        return [work(0, k, rows[k]) for k in range(count)]
+    out = blas.each_lane(lanes, lambda j: [work(j, k, rows[k]) for k in range(j, count, lanes)])
+    return [out[k % lanes][k // lanes] for k in range(count)]
+
+
 def _infer(layers, x):
     """An NCHW batch ``x`` through ``layers`` in inference mode."""
     out = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
@@ -214,13 +217,11 @@ def _train_forward(layers, x, keeps):
 
 def _backward(layers, grad, lowest):
     """Backward from the top of ``layers`` to ``layers[lowest]``, which makes no input
-    gradient; through every layer when ``lowest`` is below them. Returns the gradient
-    at the lowest layer run."""
+    gradient, returning None; through every layer when ``lowest`` is below them,
+    returning the gradient at their input."""
     for layer in reversed(layers[max(lowest + 1, 0):]):
         grad = layer.backward(grad)
-    if lowest >= 0:
-        layers[lowest].backward(grad, input_grad=False)
-    return grad
+    return layers[lowest].backward(grad, input_grad=False) if lowest >= 0 else grad
 
 
 def _conv_block(filters):

@@ -117,7 +117,7 @@ def dark_top_cascade_doc(window=24):
 def pin_blas_threads():
     """A function that sets OpenBLAS's thread count through ``fer_forge.blas``; the count
     the test started with is restored afterwards. Where the count cannot be read and set,
-    pinning does nothing and every training step runs as one shard."""
+    pinning does nothing and every shard runs on one lane, the calling thread."""
     before = blas.blas_threads()
     yield blas.set_blas_threads
     if before is not None:

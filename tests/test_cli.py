@@ -17,6 +17,7 @@ from conftest import (
     write_arch_only,
 )
 import fer_forge
+from fer_forge import blas
 from fer_forge import facedetect as fd
 from fer_forge.cli import (
     MANIFEST_KEYS,
@@ -51,6 +52,11 @@ def face_pgm(tmp_path):
     img = np.random.default_rng(2).integers(0, 256, (48, 48)).astype(np.uint8)
     write_pnm(path, img)
     return path
+
+
+# runs the CLI in a child that first restricts itself to the cores in argv[1]
+PINNED_CLI = ("import os, sys; os.sched_setaffinity(0, map(int, sys.argv[1].split(','))); "
+              "from fer_forge.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
 def run(*argv):
@@ -236,6 +242,43 @@ class TestTrainCommand:
         assert code == 0
         epochs = open(tmp_path / "mrun" / "epochs.csv").read().strip().split("\n")
         assert len(epochs) == 2  # header + the single overridden epoch
+
+    def test_cnn_files_are_the_same_on_every_host(self, tmp_path):
+        # one simple_cnn epoch on 30 training rows at batch 17: a two-shard batch, then a
+        # one-shard partial batch, in child processes on one core and on every core, at
+        # one and two OpenBLAS threads
+        cores = sorted(os.sched_getaffinity(0))
+        if len(cores) < 2:
+            pytest.skip("needs 2 usable cores")
+        if blas.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to read and set")
+        data = tmp_path / "data.csv"
+        data.write_text(make_fer_csv(random_rows(40, seed=4, usage_cycle=(
+            "Training", "Training", "Training", "PublicTest"))))
+        src = os.path.dirname(os.path.dirname(fer_forge.__file__))
+        runs = {}
+        for on in ([cores[0]], cores):
+            for threads in ("1", "2"):
+                out = tmp_path / f"cores{len(on)}-blas{threads}"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+                runs[out] = subprocess.Popen(
+                    [sys.executable, "-c", PINNED_CLI, ",".join(map(str, on)), "train",
+                     "--model", "simple_cnn", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--batch", "17", "--seed", "5"],
+                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        outputs = set()
+        try:
+            for out, child in runs.items():
+                _, err = child.communicate(timeout=120)
+                assert child.returncode == 0, err
+                epochs = [line.rsplit(",", 1)[0]  # all but seconds
+                          for line in (out / "epochs.csv").read_text().splitlines()]
+                outputs.add(((out / "simple_cnn.femo").read_bytes(), tuple(epochs)))
+        finally:
+            for child in runs.values():
+                child.kill()
+                child.wait()
+        assert len(outputs) == 1
 
     def test_unknown_manifest_key_exits_2(self, tmp_path, dataset_csv):
         manifest = tmp_path / "bad.manifest"

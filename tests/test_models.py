@@ -13,6 +13,7 @@ import pytest
 from conftest import MALFORMED_ARCHS, synthetic_dataset, write_arch_only
 from fer_forge import blas
 from fer_forge import layers as L
+from fer_forge import models as M
 from fer_forge import train as T
 from fer_forge.gradcheck import relative_error
 from fer_forge.optim import OptimizerConfig
@@ -228,10 +229,9 @@ class TestLossAndGrad:
         assert len(net.gradients()) == 4
 
 
-def shard_count(pin, monkeypatch, count, threads=None):
-    """Make a training step run up to ``count`` shards, and a forward up to ``count``
-    lanes, whatever the cores here, with OpenBLAS at ``threads`` threads (default
-    ``count``)."""
+def use_lanes(pin, monkeypatch, count, threads=None):
+    """Run a batch's shards, in training and in a forward, on up to ``count`` lanes,
+    whatever the cores here, with OpenBLAS at ``threads`` threads (default ``count``)."""
     if blas.blas_threads() is None:
         pytest.skip("no OpenBLAS thread count to read and set")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -244,7 +244,7 @@ def only_lane_threads_started(before) -> bool:
 
 
 class TestShardedStep:
-    """A training step runs the layers before Flatten on one batch shard per usable core."""
+    """A training step runs the layers before Flatten as 16-image shards on the lanes."""
 
     def step(self, name, n, seed=3):
         net = Network(ARCHITECTURE_SPECS[name](), seed=seed)
@@ -254,21 +254,29 @@ class TestShardedStep:
         loss, probs = net.loss_and_grad(x, targets, np.random.default_rng(9))
         return net, loss, probs
 
+    def assert_same_step(self, got, ref):
+        (net, loss, probs), (ref_net, ref_loss, ref_probs) = got, ref
+        assert loss == ref_loss and np.array_equal(probs, ref_probs)
+        assert all(np.array_equal(g, ref_g)
+                   for g, ref_g in zip(net.gradients(), ref_net.gradients(), strict=True))
+
     @pytest.mark.parametrize("n", [5, 1])
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("name", ["simple_cnn", "proposed_cnn"])
     def test_shards_match_one_shard(self, name, shards, n, pin_blas_threads, monkeypatch):
-        # OpenBLAS's thread count can change a GEMM's summation order (it does for one
-        # image), so the one-shard step, on one core, runs at the same count
-        shard_count(pin_blas_threads, monkeypatch, 1, threads=shards)
-        ref, ref_loss, ref_probs = self.step(name, n)
-        shard_count(pin_blas_threads, monkeypatch, shards)
+        # at most 16 images are one shard: the trunk runs here, on the network's own
+        # layers, with OpenBLAS at one thread on any host, so every byte equals the
+        # step's on one core at one BLAS thread (the head runs at two: OpenBLAS at
+        # three threads sums a one-image dense product in another order)
+        use_lanes(pin_blas_threads, monkeypatch, 1, threads=1)
+        ref = self.step(name, n)
+        use_lanes(pin_blas_threads, monkeypatch, shards, threads=2)
         threads = set(threading.enumerate())
-        seen, blas_at = set(), {}
+        convs, blas_at = [], {}
         conv_forward, dense_forward = L.Conv2D.forward, L.Dense.forward
 
         def conv_spy(layer, *args, **kwargs):
-            seen.add(threading.get_ident())
+            convs.append((threading.get_ident(), layer))
             blas_at["trunk"] = blas.blas_threads()
             return conv_forward(layer, *args, **kwargs)
 
@@ -278,31 +286,80 @@ class TestShardedStep:
 
         monkeypatch.setattr(L.Conv2D, "forward", conv_spy)
         monkeypatch.setattr(L.Dense, "forward", dense_spy)
+        got = self.step(name, n)
+        assert set(threading.enumerate()) <= threads
+        assert {thread for thread, _ in convs} == {threading.get_ident()}
+        assert all(any(layer is own for own in got[0].layers) for _, layer in convs)
+        assert blas_at == {"trunk": 1, "head": 2}
+        assert blas.blas_threads() == 2
+        self.assert_same_step(got, ref)
+
+    @pytest.mark.parametrize("name, n", [("simple_cnn", 1), ("simple_cnn", 5), ("simple_cnn", 16),
+                                         ("simple_cnn", 17), ("simple_cnn", 40),
+                                         ("proposed_cnn", 17)])
+    def test_every_host_gives_the_same_bytes(self, name, n, pin_blas_threads, monkeypatch):
+        # the shards and their summation order depend on n alone, and the trunk runs
+        # at one BLAS thread, so neither the cores nor one or two BLAS threads move a bit
+        use_lanes(pin_blas_threads, monkeypatch, 1, threads=1)
+        ref = self.step(name, n)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
         try:
-            net, loss, probs = self.step(name, n)
+            for cores, threads in [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
+                use_lanes(pin_blas_threads, monkeypatch, cores, threads=threads)
+                self.assert_same_step(self.step(name, n), ref)
+                assert blas.blas_threads() == threads
         finally:
             sys.setswitchinterval(interval)
-        assert only_lane_threads_started(threads)
-        assert len(seen) == min(shards, n)
-        # OpenBLAS runs on one thread while the shards run beside each other, and on
-        # every thread for the head
-        assert blas_at == {"trunk": 1 if n > 1 else shards, "head": shards}
-        assert blas.blas_threads() == shards
+
+    @pytest.mark.parametrize("name, n", [("simple_cnn", 40), ("proposed_cnn", 17)])
+    def test_shard_sums_match_a_whole_batch_step(self, name, n, pin_blas_threads, monkeypatch):
+        use_lanes(pin_blas_threads, monkeypatch, 2)
+        net, loss, probs = self.step(name, n)
+        monkeypatch.setattr(M, "SHARD_IMAGES", n)  # one shard
+        ref, ref_loss, ref_probs = self.step(name, n)
         assert loss == ref_loss and np.array_equal(probs, ref_probs)
         trunk = net.layers.index(next(l for l in net.layers if l.kind == "flatten"))
         for i, (layer, ref_layer) in enumerate(zip(net.layers, ref.layers)):
             for g, ref_g in zip(layer.grads, ref_layer.grads):
-                if i > trunk or n == 1:
+                if i > trunk:
                     assert np.array_equal(g, ref_g)
-                else:  # sums in another order (shards, BLAS threads): kernels, then biases
+                else:  # summed over the shards in another order: kernels, then biases
                     bound = 1e-6 if g.ndim == 4 else 2e-5
                     assert np.abs(g - ref_g).max() <= bound * np.abs(ref_g).max()
 
+    def test_shards_hold_16_images_and_only_this_thread_runs_the_layers(self, pin_blas_threads,
+                                                                         monkeypatch):
+        use_lanes(pin_blas_threads, monkeypatch, 3, threads=2)
+        net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=3)
+        calls = []  # (thread, whether the layer is one of net.layers, images)
+        conv_forward, conv_backward = L.Conv2D.forward, L.Conv2D.backward
+
+        def spy(run):
+            def call(layer, x, *args, **kwargs):
+                calls.append((threading.get_ident(), any(layer is own for own in net.layers),
+                              len(x)))
+                return run(layer, x, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(L.Conv2D, "forward", spy(conv_forward))
+        monkeypatch.setattr(L.Conv2D, "backward", spy(conv_backward))
+        threads = set(threading.enumerate())
+        x = np.random.default_rng(3).random((64, 1, 48, 48), dtype=np.float32)
+        net.loss_and_grad(x, np.eye(7, dtype=np.float32)[np.arange(64) % 7])
+        main = threading.get_ident()
+        # 4 shards on 3 lanes: this thread runs shard 0 on net.layers and shard 3 on a
+        # replica; each shard runs both conv layers forward and backward
+        assert len(calls) == 4 * 4 and max(images for _, _, images in calls) == 16
+        assert sum(own for _, own, _ in calls) == 4
+        assert all(thread == main for thread, own, _ in calls if own)
+        assert sum(thread == main for thread, _, _ in calls) == 8
+        assert len({thread for thread, _, _ in calls}) == 3
+        assert only_lane_threads_started(threads)
+
     @pytest.mark.parametrize("shards", [2, 3])
     def test_same_seed_same_model_file(self, shards, pin_blas_threads, monkeypatch, tmp_path):
-        shard_count(pin_blas_threads, monkeypatch, shards)
+        use_lanes(pin_blas_threads, monkeypatch, shards)
         cfg = T.TrainConfig(OptimizerConfig("adam", 1e-3), batch_size=5, max_epochs=2, seed=4)
         blobs = []
         for i in range(2):
@@ -315,7 +372,7 @@ class TestShardedStep:
     @pytest.mark.parametrize("shards", [2, 3])
     def test_worker_error_propagates_after_every_thread_ends(self, shards, pin_blas_threads,
                                                              monkeypatch):
-        shard_count(pin_blas_threads, monkeypatch, shards)
+        use_lanes(pin_blas_threads, monkeypatch, shards)
         threads = set(threading.enumerate())
         relu_backward = L.ReLU.backward
 
@@ -326,7 +383,7 @@ class TestShardedStep:
 
         monkeypatch.setattr(L.ReLU, "backward", fail_off_the_main_thread)
         with pytest.raises(RuntimeError, match="worker shard failed"):
-            self.step("simple_cnn", 5)
+            self.step("simple_cnn", 40)  # 3 shards, so at least one on a lane thread
         assert only_lane_threads_started(threads)
         assert blas.blas_threads() == shards
 
@@ -352,10 +409,10 @@ class TestShardedForward:
     def test_lanes_match_one_lane(self, name, threads, pin_blas_threads, monkeypatch):
         net = Network(ARCHITECTURE_SPECS[name](), seed=5)
         x = self.batch(max(self.SIZES))
-        shard_count(pin_blas_threads, monkeypatch, 1, threads=threads)
+        use_lanes(pin_blas_threads, monkeypatch, 1, threads=threads)
         one_lane = [net.forward(x[:n]) for n in self.SIZES]
         for cores in (2, 3):
-            shard_count(pin_blas_threads, monkeypatch, cores, threads=threads)
+            use_lanes(pin_blas_threads, monkeypatch, cores, threads=threads)
             for n, ref in zip(self.SIZES, one_lane):
                 assert np.array_equal(net.forward(x[:n]), ref), (cores, n)
             assert blas.blas_threads() == threads
@@ -364,7 +421,7 @@ class TestShardedForward:
     def test_lanes_run_on_their_own_threads_and_replicas(self, n, pin_blas_threads,
                                                          monkeypatch):
         net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
-        shard_count(pin_blas_threads, monkeypatch, 3, threads=2)
+        use_lanes(pin_blas_threads, monkeypatch, 3, threads=2)
         calls = []  # (thread, whether the layer is one of net.layers, BLAS threads)
         conv_forward = L.Conv2D.forward
 
@@ -418,7 +475,7 @@ class TestShardedForward:
         assert set(threading.enumerate()) <= threads
 
     def test_lane_error_is_raised_after_every_lane_ends(self, pin_blas_threads, monkeypatch):
-        shard_count(pin_blas_threads, monkeypatch, 3, threads=2)
+        use_lanes(pin_blas_threads, monkeypatch, 3, threads=2)
         net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
         finished = []  # the threads that ran a softmax: the end of a shard
         lane_thread = {}
