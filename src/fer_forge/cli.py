@@ -10,7 +10,6 @@ import argparse
 import importlib.resources
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -147,9 +146,9 @@ def _train_config(cell: dict, seed: int, strict) -> T.TrainConfig:
         raise UsageError(str(exc)) from exc
 
 
-def run_cell(cell: dict, split, out: str, seed: int, strict) -> tuple[float, str]:
-    """Fit one cell's model on a (train, test) split, write its files under ``out``
-    and return its test accuracy and the lines its caller prints. Unset (None) cell
+def run_cell(cell: dict, split, out: str, seed: int, strict) -> float:
+    """Fit one cell's model on a (train, test) split, write its files under ``out``,
+    print a network's stop line and return its test accuracy. Unset (None) cell
     fields take the config defaults."""
     train_ds, test_ds = split
     os.makedirs(out, exist_ok=True)
@@ -157,7 +156,7 @@ def run_cell(cell: dict, split, out: str, seed: int, strict) -> tuple[float, str
         root = tr.fit_tree(train_ds.images, train_ds.labels, tr.TreeConfig())
         tr.save_tree(root, os.path.join(out, "tree.txt"))
         preds = [tr.predict_tree(root, image) for image in test_ds.images]
-        return T.accuracy(preds, test_ds.labels), ""
+        return T.accuracy(preds, test_ds.labels)
     cfg = _train_config(cell, seed, strict)
     net = M.Network(M.ARCHITECTURE_SPECS[cell["model"]](), seed=seed)
     net, logs, stop_reason = T.train(net, train_ds, cfg)
@@ -165,7 +164,8 @@ def run_cell(cell: dict, split, out: str, seed: int, strict) -> tuple[float, str
     with open(os.path.join(out, "epochs.csv"), "w", encoding="utf-8") as fh:
         fh.write(T.epoch_logs_csv(logs))
     test_acc, _, _ = T.evaluate(net, test_ds)
-    return test_acc, f"stop_reason={stop_reason} epochs_ran={len(logs)}\n"
+    print(f"stop_reason={stop_reason} epochs_ran={len(logs)}")
+    return test_acc
 
 
 def cmd_train(args) -> int:
@@ -175,11 +175,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"--model must be one of {MODEL_NAMES}, got {cell['model']!r}")
     cell["optimizer"] = _merge(args, manifest, "optimizer", "adam")
     split, out, seed, strict = _run_settings(args, manifest)
-    test_acc, report = run_cell(cell, split, out, seed, strict)
+    test_acc = run_cell(cell, split, out, seed, strict)
     line = f"test_accuracy={test_acc:.4f}"
     with open(os.path.join(out, "result.txt"), "w", encoding="utf-8") as fh:
         fh.write(line + "\n")
-    print(report + line)
+    print(line)
     return EXIT_OK
 
 
@@ -206,66 +206,27 @@ def _parse_cell(raw: str, default_model: str):
         raise UsageError(f"bad cell {raw!r}: non-numeric field") from None
 
 
-def _run_sweep_cell(split, job) -> dict:
-    cell, out_dir, seed, strict = job
-    try:
-        acc, report = run_cell(cell, split, out_dir, seed, strict)
-        return {**cell, "accuracy": f"{acc:.4f}", "error": "", "report": report}
-    except Exception as exc:  # per-cell failures must not kill the sweep
-        return {**cell, "accuracy": "", "error": str(exc), "report": ""}
-
-
-_pool_split = None  # a pool worker's copy of the sweep's split, set once by _share_split
-
-
-def _share_split(split):
-    global _pool_split
-    _pool_split = split
-
-
-def _run_pooled_cell(job) -> dict:
-    return _run_sweep_cell(_pool_split, job)
-
-
 def load_default_grid() -> dict:
     grid = importlib.resources.files("fer_forge") / "manifests" / "default_sweep.manifest"
     with importlib.resources.as_file(grid) as path:
         return parse_manifest(str(path), "sweep")
 
 
-def _sweep_workers() -> int:
-    """Process count of a sweep: ``FER_FORGE_THREADS``, a positive integer, default 1."""
-    raw = os.environ.get("FER_FORGE_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"FER_FORGE_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def cmd_sweep(args) -> int:
-    workers = _sweep_workers()
     manifest = parse_manifest(args.manifest, "sweep") if args.manifest else load_default_grid()
     default_model = _merge(args, manifest, "model", "proposed_cnn")
     cells = [_parse_cell(raw, default_model) for raw in manifest.get("cell", [])]
     split, out, seed, strict = _run_settings(args, manifest)
 
     os.makedirs(out, exist_ok=True)
-    jobs = []
+    results = []
     for i, cell in enumerate(cells):
         tag = f"cell_{i:02d}_{cell['model']}_{cell['optimizer']}_b{cell['batch']}_e{cell['epochs']}"
-        jobs.append((cell, os.path.join(out, tag), seed, strict))
-
-    if workers > 1 and len(jobs) > 1:
-        # workers get the split once at start, not per cell; a fork pool starts all at once
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=_share_split,
-                                 initargs=(split,)) as pool:
-            results = list(pool.map(_run_pooled_cell, jobs))
-    else:
-        results = [_run_sweep_cell(split, job) for job in jobs]
-    print("".join(r["report"] for r in results), end="")  # in cell order, whoever ran the cell
+        try:
+            acc = run_cell(cell, split, os.path.join(out, tag), seed, strict)
+            results.append({**cell, "accuracy": f"{acc:.4f}", "error": ""})
+        except Exception as exc:  # per-cell failures must not kill the sweep
+            results.append({**cell, "accuracy": "", "error": str(exc)})
 
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(str(r[column]) for column in SWEEP_COLUMNS) for r in results]

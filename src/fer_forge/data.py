@@ -199,11 +199,6 @@ def random_split(records: list[FerRecord], seed: int = 0) -> tuple[LabeledDatase
     return LabeledDataset.from_records(train), LabeledDataset.from_records(test)
 
 
-def class_histogram(dataset: LabeledDataset) -> np.ndarray:
-    """Per-class sample counts, indexed by emotion label."""
-    return np.bincount(dataset.labels, minlength=NUM_CLASSES)
-
-
 def histogram_csv(labels) -> str:
     """``class,name,count`` rows of how many of ``labels`` each class holds."""
     counts = np.bincount(labels, minlength=NUM_CLASSES)

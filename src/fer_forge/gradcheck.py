@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Layer, LayerSpec
-from .models import ARCHITECTURE_SPECS
+from .models import ARCHITECTURE_SPECS, Network
 from .seeding import DEFAULT_SEED, derive_seed
 
 H = 1e-6
@@ -73,8 +73,7 @@ def check_layer_detailed(layer: Layer, in_shape: tuple[int, ...], seed: int) -> 
     return worst, worst_part
 
 
-_TOY_INPUTS = {  # per sample: (H,W,C) images, (D,) features
-    "conv2d": (12, 12, 2),
+_TOY_INPUTS = {  # per sample: (H,W,C) images, (D,) features; a conv's is per layer
     "maxpool2d": (12, 12, 2),
     "relu": (12, 12, 2),
     "dropout": (12, 12, 2),
@@ -117,14 +116,22 @@ def gradcheck_architecture(model_name: str, seed: int = DEFAULT_SEED) -> Gradche
     """Finite-difference check of every layer of an architecture at toy sizes.
 
     Each layer is rebuilt as a small twin (channels and units capped at 8,
-    spatial extent 12x12) and checked independently.
+    spatial extent 12x12) and checked independently. A conv twin takes the
+    real layer's input channels, capped at 8, so that it runs the same conv
+    kernel as the real layer: patch matrix or summed taps.
     """
     if model_name not in ARCHITECTURE_SPECS:
         raise ValueError(f"unknown architecture {model_name!r}")
+    specs = ARCHITECTURE_SPECS[model_name]()
+    trace = Network(specs).shape_trace()
     entries = []
-    for idx, spec in enumerate(ARCHITECTURE_SPECS[model_name]()):
+    for idx, spec in enumerate(specs):
+        if spec.kind == "conv2d":
+            in_shape = (12, 12, min(trace[idx][-1], 8))
+        else:
+            in_shape = _TOY_INPUTS[spec.kind]
         err, part = check_layer_detailed(
-            _toy_twin(spec).materialize(), _TOY_INPUTS[spec.kind], derive_seed(seed, "layer", idx)
+            _toy_twin(spec).materialize(), in_shape, derive_seed(seed, "layer", idx)
         )
         detail = ",".join(f"{k}={v}" for k, v in spec.hyper.items())
         label = f"{idx:02d}:{spec.kind}({detail})" if detail else f"{idx:02d}:{spec.kind}"

@@ -118,7 +118,7 @@ def topk_accuracy(prob_vectors: np.ndarray, truths, k: int = 2) -> float:
     return float(hits.mean())
 
 
-def early_stop(history: list[float], window: int = 4, tol: float = 0.0) -> bool:
+def early_stop(history: list[float], window: int, tol: float) -> bool:
     """True iff the last ``window`` epoch-over-epoch changes all stayed within tol."""
     if len(history) < window + 1:
         return False

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fer_forge import blas
-from fer_forge.data import NUM_CLASSES, LabeledDataset, class_histogram
+from fer_forge.data import NUM_CLASSES, LabeledDataset
 from fer_forge.models import FORMAT_VERSION, MAGIC
 from fer_forge.tensor import ShapeError
 
@@ -195,6 +195,11 @@ def one_hot(label: int) -> np.ndarray:
     vec = np.zeros(NUM_CLASSES, dtype=np.float32)
     vec[label] = 1.0
     return vec
+
+
+def class_histogram(dataset: LabeledDataset) -> np.ndarray:
+    """Per-class sample counts, indexed by emotion label."""
+    return np.bincount(dataset.labels, minlength=NUM_CLASSES)
 
 
 def check_confusion_row_sums(matrix, dataset: LabeledDataset) -> bool:

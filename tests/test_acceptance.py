@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     accept_all_cascade_doc,
+    class_histogram,
     dark_top_cascade_doc,
     reject_all_cascade_doc,
     synthetic_dataset,
@@ -21,7 +22,6 @@ from conftest import (
 from facedetect_oracle import eval_window, rect_sum
 from fer_forge.data import (
     LabeledDataset,
-    class_histogram,
     parse_fer_csv,
     split_dataset,
 )

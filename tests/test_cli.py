@@ -547,17 +547,23 @@ class TestSweepCommand:
         sweep_acc = row.split(",")[6]
         assert train_acc == f"test_accuracy={sweep_acc}"
 
-    def test_failed_cell_recorded_and_sweep_continues(self, tmp_path, dataset_csv):
+    def test_failed_cell_recorded_and_sweep_continues(self, tmp_path, dataset_csv, capsys):
         grid = self._grid(tmp_path, ["ffnn,nosuchopt,6,1,0.001,0", "ffnn,adam,6,1,0.001,0",
-                                     "ffnn,adam,0,1,0.001,0"])
+                                     "ffnn,adam,0,1,0.001,0", "tree,adam,6,1,0.001,0",
+                                     "ffnn,sgd,6,2,0.01,0"])
         out = str(tmp_path / "sweep_fail")
         code = run("sweep", "--data", dataset_csv, "--out", out, "--manifest", grid,
                    "--seed", "3")
         assert code == 0
-        rows = open(os.path.join(out, "sweep_results.csv")).read().strip().split("\n")
+        sweep_csv = open(os.path.join(out, "sweep_results.csv")).read()
+        rows = sweep_csv.strip().split("\n")
         assert "unknown optimizer" in rows[1]
         assert rows[2].endswith(",")
         assert rows[3].endswith(",batch size must be >= 1, got 0")
+        assert rows[4].endswith(",") and rows[5].endswith(",")
+        # one stop line per trained network cell, in cell order, then the table
+        assert capsys.readouterr().out == ("stop_reason=max_epochs epochs_ran=1\n"
+                                           "stop_reason=max_epochs epochs_ran=2\n" + sweep_csv)
 
     def test_bad_cell_shape_exits_2(self, tmp_path, dataset_csv):
         grid = self._grid(tmp_path, ["ffnn,adam,6"])

@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import denormalize_pixels, make_fer_csv, one_hot, random_rows
+from conftest import class_histogram, denormalize_pixels, make_fer_csv, one_hot, random_rows
 from fer_forge.data import (
     DataFormatError,
     LabeledDataset,
     batches,
-    class_histogram,
     histogram_csv,
     normalize_pixels,
     parse_fer_csv,

@@ -1,5 +1,6 @@
 import pytest
 
+from fer_forge import tensor
 from fer_forge.gradcheck import gradcheck_architecture
 from fer_forge.layers import MaxPool2D
 
@@ -26,6 +27,18 @@ class TestArchitectureSuite:
         assert worst.error > 1e-5
         assert worst.worst_part == "input"
         assert all(e.error < 1e-5 for e in report.entries if e is not worst)
+
+    def test_conv_twins_run_the_kernels_of_the_real_convs(self, monkeypatch):
+        # simple_cnn's conv 0 (1 input channel) runs the patch matrix, conv 2 (32) the taps
+        calls = []
+
+        def spy(name, orig):
+            return lambda *args: calls.append(name) or orig(*args)
+
+        for name in ("_patches", "_sum_of_taps"):
+            monkeypatch.setattr(tensor, name, spy(name, getattr(tensor, name)))
+        assert gradcheck_architecture("simple_cnn", seed=42).passed
+        assert set(calls) == {"_patches", "_sum_of_taps"}
 
     def test_same_seed_identical_report(self):
         a = gradcheck_architecture("simple_cnn", seed=7)

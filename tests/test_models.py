@@ -1,7 +1,9 @@
 import hashlib
 import os
 import re
+import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -505,6 +507,23 @@ class TestShardedForward:
         assert only_lane_threads_started(threads)
 
 
+FORK_AFTER_LANES = """
+import os, sys, threading
+import numpy as np
+from fer_forge.models import build_simple_cnn
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two lanes here and in the forked child
+net = build_simple_cnn(seed=1)
+x = np.random.default_rng(2).random((32, 1, 48, 48), dtype=np.float32)
+rows = net.forward(x)
+assert any(t.name.startswith("fer_forge-lane-") for t in threading.enumerate())
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if np.array_equal(net.forward(x), rows) else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
 class TestBlas:
     def test_thread_count_round_trips(self, pin_blas_threads):
         if blas.blas_threads() is None:
@@ -546,6 +565,21 @@ class TestBlas:
         finally:
             sys.setswitchinterval(interval)
         assert readings == {"first": [1] * 20, "second": [1] * 40}
+
+    def test_forked_child_after_a_sharded_forward_matches_parent(self):
+        # a child forked from a process whose lane threads exist must start its own
+        if blas.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread count to read and set")
+        src = os.path.dirname(os.path.dirname(M.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        child = subprocess.Popen([sys.executable, "-c", FORK_AFTER_LANES], env=env,
+                                 start_new_session=True)
+        try:
+            assert child.wait(timeout=120) == 0
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the forked child too
+            child.wait()
+            pytest.fail("the forked child did not finish")
 
 
 class TestPersistence:
