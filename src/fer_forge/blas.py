@@ -8,8 +8,6 @@ OpenBLAS, ``blas_threads`` is None and ``set_blas_threads`` does nothing.
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 
 _GET = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
         "openblas_get_num_threads")
@@ -20,7 +18,7 @@ _SET = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
 @functools.cache
 def _thread_functions():
     """OpenBLAS's get and set thread-count functions, or None unless it exports both."""
-    import ctypes  # here, not at import: only a step that shards its batch needs it
+    import ctypes  # here, not at import: only a forward or a training step needs it
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -54,62 +52,47 @@ def set_blas_threads(n: int):
         functions[1](n)
 
 
+def single_thread():
+    """Set OpenBLAS to one thread, for the whole process and for good, so that each lane
+    keeps one core and every product sums in the same order on any host; nothing where
+    the count already reads 1 or cannot be read."""
+    if blas_threads() not in (1, None):
+        set_blas_threads(1)
+
+
 def lane_count(shards: int) -> int:
     """Threads, or lanes, to run ``shards`` shards on at once: the usable cores, capped
     by ``shards``; 1 when OpenBLAS's count cannot be read and set, as each lane must
-    hold it at one thread. One shard looks nothing up."""
+    run it at one thread. One shard looks nothing up."""
     if shards <= 1 or blas_threads() is None:
         return 1
     return min(len(os.sched_getaffinity(0)), shards)
 
 
-_lock = threading.Lock()
-_holders, _held_from = 0, None  # threads inside ``one_thread``; the count the first found
-_lanes: list[ThreadPoolExecutor] = []  # lane j > 0 is the one thread of _lanes[j - 1]
-
-
-@contextmanager
-def one_thread():
-    """OpenBLAS on one thread, for the whole process, inside the block. Callers may
-    overlap: the first one in saves the count and sets 1, the last one out restores it."""
-    global _holders, _held_from
-    with _lock:
-        if _holders == 0:
-            _held_from = blas_threads()
-            set_blas_threads(1)
-        _holders += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _holders -= 1
-            if _holders == 0 and _held_from is not None:
-                set_blas_threads(_held_from)
-
-
 def each_lane(lanes: int, work) -> list:
     """``work(j)`` for each lane j, in lane order: lane 0 on this thread, each other lane
-    on a thread of its own, started by the first call that needs it and kept for the
-    life of the process. While the lanes run, OpenBLAS runs on one thread, so that
-    each lane keeps one core. Every lane ends before this returns or raises; the
-    first lane's error, in lane order, is raised."""
-    with one_thread():
-        with _lock:
-            while len(_lanes) < lanes - 1:
-                _lanes.append(ThreadPoolExecutor(1, f"fer_forge-lane-{len(_lanes) + 1}"))
-            rest = [_lanes[j - 1].submit(work, j) for j in range(1, lanes)]
+    on a thread of its own, ``fer_forge-lane-<j>``, started here. Every lane's thread is
+    joined before this returns or raises; the first lane's error, in lane order, is
+    raised."""
+    out, errors = [None] * lanes, [None] * lanes
+
+    def run(j):
         try:
-            first = work(0)
-        finally:
-            wait(rest)
-    return [first, *(done.result() for done in rest)]
+            out[j] = work(j)
+        except BaseException as exc:  # raised on the calling thread, below
+            errors[j] = exc
 
-
-def _after_fork_in_child():
-    """A forked child has none of the lanes' threads; ``one_thread``'s state starts anew."""
-    global _lock, _holders
-    _lock, _holders = threading.Lock(), 0
-    _lanes.clear()
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
+    started = []
+    try:
+        for j in range(1, lanes):
+            thread = threading.Thread(target=run, args=(j,), name=f"fer_forge-lane-{j}")
+            thread.start()
+            started.append(thread)
+        out[0] = work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return out

@@ -9,7 +9,6 @@ The arch json records the layer stack, input shape and class count, so a
 load rebuilds the exact network and restores bit-identical parameters.
 """
 
-import functools
 import json
 import os
 import struct
@@ -109,12 +108,13 @@ class Network:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities [N,num_classes] for an [N,*input_shape] batch, in inference
         mode: no dropout, no caches. Training runs through ``loss_and_grad``. The batch
-        runs as ``_each_shard``'s shards, lane 0 on ``layers`` and each other lane on
-        replica layers that share their parameters; a row depends on its shard, not on
-        the lane or BLAS thread count."""
+        runs as ``_each_shard``'s shards, with OpenBLAS at one thread: shard 0 on
+        ``layers``, each other shard on replica layers of its own that share the
+        parameters; a row depends on its shard, not on the host."""
+        blas.single_thread()
         self._check_batch(x)
-        stack = functools.cache(lambda j: self._replica() if j else self.layers)  # per lane
-        out = _each_shard(x.shape[0], lambda j, k, rows: _infer(stack(j), x[rows]))
+        out = _each_shard(x.shape[0],
+                          lambda k, rows: _infer(self._replica() if k else self.layers, x[rows]))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def predict(self, image: np.ndarray) -> np.ndarray:
@@ -126,19 +126,20 @@ class Network:
     def loss_and_grad(self, x: np.ndarray, target_onehot: np.ndarray, rng=None):
         """Mean cross-entropy over the batch plus each layer's penalty; sets every layer's grads.
 
-        The trunk, every layer before ``Flatten``, runs forward and backward as
-        ``_each_shard``'s shards with OpenBLAS at one thread: shard 0 on ``layers``,
-        each other shard on replica layers of its own, which share the parameters
-        and keep its caches until its backward. The head, the rest, runs once on
-        the whole batch on this thread. Every dropout mask is drawn from ``rng`` for
-        the whole batch first, in layer order. Each trunk gradient is the shards'
-        sum, added in shard order, so its bytes depend on the batch, not the host.
+        OpenBLAS runs at one thread. The trunk, every layer before ``Flatten``, runs
+        forward and backward as ``_each_shard``'s shards: shard 0 on ``layers``, each
+        other shard on replica layers of its own, which share the parameters and
+        keep its caches until its backward. The head, the rest, runs once on the
+        whole batch on this thread. Every dropout mask is drawn from ``rng`` for the
+        whole batch first, in layer order. Each trunk gradient is the shards' sum,
+        added in shard order, so its bytes depend on the batch, not the host.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
         backward pass stops at the lowest layer with parameters, which
         computes no gradient for its input, since nothing reads it.
         """
+        blas.single_thread()
         self._check_batch(x)
         if rng is None:
             rng = np.random.default_rng(0)
@@ -148,15 +149,14 @@ class Network:
         lowest = next(i for i, layer in enumerate(self.layers) if layer.params)
         x = np.moveaxis(x, 1, -1)  # NCHW -> NHWC, a view
 
-        def trunk_forward(j, k, rows):
+        def trunk_forward(k, rows):
             stack = self._replica(t) if k else self.layers[:t]
             shard_keeps = [keep if keep is None else keep[rows] for keep in keeps[:t]]
             return stack, _train_forward(stack, x[rows], shard_keeps)
 
         out = x
-        if t:  # without a trunk, no BLAS count is read and no lane starts
-            with blas.one_thread():
-                stacks, out = zip(*_each_shard(n, trunk_forward))
+        if t:  # without a trunk, no lane starts
+            stacks, out = zip(*_each_shard(n, trunk_forward))
             out = out[0] if len(out) == 1 else np.concatenate(out)  # the shards' outputs go
         probs = _train_forward(self.layers[t:], out, keeps[t:])
         loss = cross_entropy_loss(probs, target_onehot)
@@ -164,8 +164,7 @@ class Network:
             loss += layer.penalty()
         grad = _backward(self.layers[t:-1], (probs - target_onehot) / n, lowest - t)
         if lowest < t:
-            with blas.one_thread():
-                _each_shard(n, lambda j, k, rows: _backward(stacks[k], grad[rows], lowest))
+            _each_shard(n, lambda k, rows: _backward(stacks[k], grad[rows], lowest))
             for replica in stacks[1:]:  # shard order
                 for layer, copy in zip(self.layers, replica):
                     for g, g_copy in zip(layer.grads, copy.grads):
@@ -188,15 +187,13 @@ class Network:
 
 
 def _each_shard(n: int, work) -> list:
-    """``work(j, k, rows)`` for each of the ceil(n/SHARD_IMAGES) contiguous shards of an
+    """``work(k, rows)`` for each of the ceil(n/SHARD_IMAGES) contiguous shards of an
     n-image batch, in shard order: shard k holds ``rows`` n*k//count to n*(k+1)//count,
     lane j of ``blas.lane_count`` runs shards j, j+lanes, ...; one lane runs all here."""
     count = -(-n // SHARD_IMAGES) or 1
     rows = [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
     lanes = blas.lane_count(count)
-    if lanes == 1:
-        return [work(0, k, rows[k]) for k in range(count)]
-    out = blas.each_lane(lanes, lambda j: [work(j, k, rows[k]) for k in range(j, count, lanes)])
+    out = blas.each_lane(lanes, lambda j: [work(k, rows[k]) for k in range(j, count, lanes)])
     return [out[k % lanes][k // lanes] for k in range(count)]
 
 

@@ -3,6 +3,7 @@ and the small helpers only tests use."""
 
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ def dark_top_cascade_doc(window=24):
             }
         ],
     }
+
+
+@pytest.fixture(autouse=True)
+def no_lane_thread_left():
+    """Fails a test that leaves a lane thread alive: every sharded call joins its own."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("fer_forge-lane-")]
+    assert not left, f"lane threads still alive after the test: {left}"
 
 
 @pytest.fixture

@@ -240,20 +240,17 @@ def use_lanes(pin, monkeypatch, count, threads=None):
     pin(threads or count)
 
 
-def only_lane_threads_started(before) -> bool:
-    """Whether every thread alive now but not in ``before`` is one of the lane pool's."""
-    return all(t.name.startswith("fer_forge-lane-") for t in set(threading.enumerate()) - before)
-
-
 class TestShardedStep:
     """A training step runs the layers before Flatten as 16-image shards on the lanes."""
 
-    def step(self, name, n, seed=3):
-        net = Network(ARCHITECTURE_SPECS[name](), seed=seed)
+    def batch(self, n, seed=3):
         rng = np.random.default_rng(seed)
         x = rng.random((n, 1, 48, 48), dtype=np.float32)
-        targets = np.eye(7, dtype=np.float32)[rng.integers(0, 7, n)]
-        loss, probs = net.loss_and_grad(x, targets, np.random.default_rng(9))
+        return x, np.eye(7, dtype=np.float32)[rng.integers(0, 7, n)]
+
+    def step(self, name, n, seed=3):
+        net = Network(ARCHITECTURE_SPECS[name](), seed=seed)
+        loss, probs = net.loss_and_grad(*self.batch(n, seed), np.random.default_rng(9))
         return net, loss, probs
 
     def assert_same_step(self, got, ref):
@@ -267,9 +264,8 @@ class TestShardedStep:
     @pytest.mark.parametrize("name", ["simple_cnn", "proposed_cnn"])
     def test_shards_match_one_shard(self, name, shards, n, pin_blas_threads, monkeypatch):
         # at most 16 images are one shard: the trunk runs here, on the network's own
-        # layers, with OpenBLAS at one thread on any host, so every byte equals the
-        # step's on one core at one BLAS thread (the head runs at two: OpenBLAS at
-        # three threads sums a one-image dense product in another order)
+        # layers, and the whole step with OpenBLAS at one thread on any host, so every
+        # byte equals the step's on one core at one BLAS thread
         use_lanes(pin_blas_threads, monkeypatch, 1, threads=1)
         ref = self.step(name, n)
         use_lanes(pin_blas_threads, monkeypatch, shards, threads=2)
@@ -292,25 +288,34 @@ class TestShardedStep:
         assert set(threading.enumerate()) <= threads
         assert {thread for thread, _ in convs} == {threading.get_ident()}
         assert all(any(layer is own for own in got[0].layers) for _, layer in convs)
-        assert blas_at == {"trunk": 1, "head": 2}
-        assert blas.blas_threads() == 2
+        assert blas_at == {"trunk": 1, "head": 1}
+        assert blas.blas_threads() == 1
         self.assert_same_step(got, ref)
 
-    @pytest.mark.parametrize("name, n", [("simple_cnn", 1), ("simple_cnn", 5), ("simple_cnn", 16),
+    @pytest.mark.parametrize("name, n", [("ffnn", 1), ("ffnn", 40),
+                                         ("simple_cnn", 1), ("simple_cnn", 5), ("simple_cnn", 16),
                                          ("simple_cnn", 17), ("simple_cnn", 40),
-                                         ("proposed_cnn", 17)])
+                                         ("proposed_cnn", 1), ("proposed_cnn", 17)])
     def test_every_host_gives_the_same_bytes(self, name, n, pin_blas_threads, monkeypatch):
-        # the shards and their summation order depend on n alone, and the trunk runs
-        # at one BLAS thread, so neither the cores nor one or two BLAS threads move a bit
+        # the shards and their summation order depend on n alone, and a step or a forward
+        # runs at one BLAS thread whatever the count it finds, so neither the cores nor
+        # the BLAS count move a bit (OpenBLAS at three threads sums a one-image dense
+        # product in another order than at one or two)
         use_lanes(pin_blas_threads, monkeypatch, 1, threads=1)
+        x, _ = self.batch(n)
         ref = self.step(name, n)
+        ref_rows = ref[0].forward(x)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads switch often, so a lost update would show
         try:
-            for cores, threads in [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
-                use_lanes(pin_blas_threads, monkeypatch, cores, threads=threads)
-                self.assert_same_step(self.step(name, n), ref)
-                assert blas.blas_threads() == threads
+            for cores in (1, 2, 3):
+                for threads in (1, 2, 3):
+                    use_lanes(pin_blas_threads, monkeypatch, cores, threads=threads)
+                    got = self.step(name, n)
+                    self.assert_same_step(got, ref)
+                    pin_blas_threads(threads)
+                    assert np.array_equal(got[0].forward(x), ref_rows), (cores, threads)
+                    assert blas.blas_threads() == 1
         finally:
             sys.setswitchinterval(interval)
 
@@ -357,7 +362,7 @@ class TestShardedStep:
         assert all(thread == main for thread, own, _ in calls if own)
         assert sum(thread == main for thread, _, _ in calls) == 8
         assert len({thread for thread, _, _ in calls}) == 3
-        assert only_lane_threads_started(threads)
+        assert set(threading.enumerate()) <= threads
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_same_seed_same_model_file(self, shards, pin_blas_threads, monkeypatch, tmp_path):
@@ -386,16 +391,22 @@ class TestShardedStep:
         monkeypatch.setattr(L.ReLU, "backward", fail_off_the_main_thread)
         with pytest.raises(RuntimeError, match="worker shard failed"):
             self.step("simple_cnn", 40)  # 3 shards, so at least one on a lane thread
-        assert only_lane_threads_started(threads)
-        assert blas.blas_threads() == shards
+        assert set(threading.enumerate()) <= threads
+        assert blas.blas_threads() == 1
 
-    def test_a_network_without_a_trunk_looks_up_no_blas(self, monkeypatch):
-        def fail():
-            raise AssertionError("BLAS thread count read")
+    def test_a_network_without_a_trunk_looks_up_no_blas(self, pin_blas_threads, monkeypatch):
+        # no trunk, so no shards and no lane; the head still runs at one BLAS thread
+        def fail(*args):
+            raise AssertionError("a lane started")
 
-        monkeypatch.setattr(blas, "blas_threads", fail)
-        _, loss, probs = self.step("ffnn", 5)
-        assert np.isfinite(loss) and probs.shape == (5, 7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pin_blas_threads(2)
+        monkeypatch.setattr(blas, "each_lane", fail)
+        threads = set(threading.enumerate())
+        _, loss, probs = self.step("ffnn", 40)
+        assert np.isfinite(loss) and probs.shape == (40, 7)
+        assert set(threading.enumerate()) <= threads
+        assert blas.blas_threads() in (1, None)
 
 
 class TestShardedForward:
@@ -417,7 +428,7 @@ class TestShardedForward:
             use_lanes(pin_blas_threads, monkeypatch, cores, threads=threads)
             for n, ref in zip(self.SIZES, one_lane):
                 assert np.array_equal(net.forward(x[:n]), ref), (cores, n)
-            assert blas.blas_threads() == threads
+            assert blas.blas_threads() == 1
 
     @pytest.mark.parametrize("n", [17, 64])
     def test_lanes_run_on_their_own_threads_and_replicas(self, n, pin_blas_threads,
@@ -438,24 +449,34 @@ class TestShardedForward:
         lanes = min(3, -(-n // 16))
         assert probs.shape == (n, 7)
         assert len({thread for thread, _, _ in calls}) == lanes
+        # shard 0 runs on net.layers, here; every other shard, here too, on a replica
         main = threading.get_ident()
-        assert all((thread == main) == own for thread, own, _ in calls)
+        assert [thread for thread, own, _ in calls if own] == [main, main]  # two convs
         assert {blas_at for _, _, blas_at in calls} == {1}
-        assert blas.blas_threads() == 2
-        assert only_lane_threads_started(threads)
+        assert blas.blas_threads() == 1
+        assert set(threading.enumerate()) <= threads
 
     @pytest.mark.parametrize("n", [1, 16])
     @pytest.mark.parametrize("name", ["ffnn", "proposed_cnn"])
-    def test_a_small_batch_reads_no_blas_and_starts_no_lane(self, name, n, monkeypatch):
-        def fail(*args):
-            raise AssertionError("BLAS thread count read or a lane started")
+    def test_a_small_batch_reads_no_blas_and_starts_no_lane(self, name, n, pin_blas_threads,
+                                                            monkeypatch):
+        # one shard: one lane, this thread, whatever the cores; OpenBLAS left at one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pin_blas_threads(2)
+        lanes, each_lane = [], blas.each_lane
 
-        monkeypatch.setattr(blas, "blas_threads", fail)
-        monkeypatch.setattr(blas, "each_lane", fail)
+        def spy(count, work):
+            lanes.append(count)
+            return each_lane(count, work)
+
+        monkeypatch.setattr(blas, "each_lane", spy)
         net = Network(ARCHITECTURE_SPECS[name](), seed=5)
         x = self.batch(n)
+        threads = set(threading.enumerate())
         assert net.forward(x).shape == (n, 7)
         assert net.predict(x[0]).shape == (7,)
+        assert lanes == [1, 1] and set(threading.enumerate()) <= threads
+        assert blas.blas_threads() in (1, None)
 
     def test_a_count_that_cannot_be_set_runs_every_shard_here(self, monkeypatch):
         net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
@@ -503,8 +524,8 @@ class TestShardedForward:
         main = threading.main_thread().ident
         assert finished.count(main) == 2 and len(set(finished) - {main}) == 1
         assert lane_thread["failing"] not in finished
-        assert blas.blas_threads() == 2
-        assert only_lane_threads_started(threads)
+        assert blas.blas_threads() == 1
+        assert set(threading.enumerate()) <= threads
 
 
 FORK_AFTER_LANES = """
@@ -516,7 +537,7 @@ os.sched_getaffinity = lambda pid: {0, 1}  # two lanes here and in the forked ch
 net = build_simple_cnn(seed=1)
 x = np.random.default_rng(2).random((32, 1, 48, 48), dtype=np.float32)
 rows = net.forward(x)
-assert any(t.name.startswith("fer_forge-lane-") for t in threading.enumerate())
+assert not any(t.name.startswith("fer_forge-lane-") for t in threading.enumerate())
 pid = os.fork()
 if pid == 0:
     os._exit(0 if np.array_equal(net.forward(x), rows) else 1)
@@ -533,41 +554,38 @@ class TestBlas:
         pin_blas_threads(1)
         assert blas.blas_threads() == 1
 
-    def test_overlapping_holders_keep_one_thread_until_the_last_leaves(self, pin_blas_threads):
-        if blas.blas_threads() is None:
-            pytest.skip("no OpenBLAS thread count to read and set")
-        pin_blas_threads(3)
-        both_in, first_out = threading.Barrier(2, timeout=60), threading.Event()
-        readings = {"first": [], "second": []}
+    def test_concurrent_sharded_forwards_match_a_serial_one(self, pin_blas_threads,
+                                                           monkeypatch):
+        # two callers share one network; each call starts and joins its own lanes
+        use_lanes(pin_blas_threads, monkeypatch, 3, threads=2)
+        net = Network(ARCHITECTURE_SPECS["simple_cnn"](), seed=5)
+        x = np.random.default_rng(6).random((40, 1, 48, 48), dtype=np.float32)
+        serial = net.forward(x)
+        results = {"first": [], "second": []}
 
-        def hold(name):
-            with blas.one_thread():
-                both_in.wait()
-                readings[name].append(blas.blas_threads())
-                if name == "second":  # leaves last, though it came in last
-                    assert first_out.wait(60)
-                    readings[name].append(blas.blas_threads())
-            if name == "first":
-                first_out.set()
+        def call(name):
+            for _ in range(20):
+                results[name].append(net.forward(x))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                workers = [threading.Thread(target=hold, args=(name,)) for name in readings]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(60)
-                    assert not worker.is_alive()
-                first_out.clear()
-                assert blas.blas_threads() == 3
+            callers = [threading.Thread(target=call, args=(name,)) for name in results]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(120)
+                assert not caller.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert readings == {"first": [1] * 20, "second": [1] * 40}
+        assert [len(rows) for rows in results.values()] == [20, 20]
+        assert all(np.array_equal(rows, serial) for rows in results["first"] + results["second"])
+        assert blas.blas_threads() == 1
+        assert not any(t.name.startswith("fer_forge-lane-") for t in threading.enumerate())
 
     def test_forked_child_after_a_sharded_forward_matches_parent(self):
-        # a child forked from a process whose lane threads exist must start its own
+        # every lane thread has ended when the forward returns, so a forked child starts
+        # its own
         if blas.blas_threads() is None:
             pytest.skip("no OpenBLAS thread count to read and set")
         src = os.path.dirname(os.path.dirname(M.__file__))
