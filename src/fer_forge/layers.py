@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .tensor import (
     ShapeError,
     conv2d,
@@ -71,14 +72,12 @@ class Layer:
         return 0.0
 
 
-def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-def _glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _uniform(rng: np.random.Generator | None, shape, fan: int) -> np.ndarray:
+    """Uniform float32 in +-sqrt(6 / fan); without ``rng``, a stand-in that allocates nothing."""
+    if rng is None:
+        return np.broadcast_to(np.float32(0), shape)
+    limit = np.sqrt(6.0 / fan)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Conv2D(Layer):
@@ -104,7 +103,7 @@ class Conv2D(Layer):
         k = self.kernel_size
         if k > min(h, w):
             raise ShapeError(f"{k}x{k} kernel does not fit a {h}x{w} input")
-        kernels = _he_uniform(rng, (self.filters, c, k, k), c * k * k, np.float32)
+        kernels = _uniform(rng, (self.filters, c, k, k), c * k * k)
         bias = np.zeros(self.filters, dtype=np.float32)
         self.params = [kernels, bias]
         return (h - k + 1, w - k + 1, self.filters)
@@ -174,10 +173,7 @@ class Dense(Layer):
         if len(in_shape) != 1:
             raise ShapeError(f"dense expects flattened input, got {in_shape}")
         d = in_shape[0]
-        if self.init == "glorot":
-            weights = _glorot_uniform(rng, (d, self.units), d, self.units, np.float32)
-        else:
-            weights = _he_uniform(rng, (d, self.units), d, np.float32)
+        weights = _uniform(rng, (d, self.units), d + self.units if self.init == "glorot" else d)
         bias = np.zeros(self.units, dtype=np.float32)
         self.params = [weights, bias]
         return (self.units,)
@@ -189,23 +185,54 @@ class Dense(Layer):
                 f"dense input axis ({x.shape[-1]}) does not match weight rows ({weights.shape[0]})"
             )
         self._cache = x if train else None
-        return x @ weights + bias
+        if not train:
+            return x @ weights + bias
+        out = np.empty((len(x), self.units), np.result_type(x, weights, bias))
+        _each_column_block(len(x), weights.shape,
+                           lambda cols, _: np.matmul(x, weights[:, cols], out=out[:, cols]))
+        out += bias
+        return out
 
     def backward(self, grad, input_grad=True):
         # the last step's gradients go first and the input gradient is made last, which
         # lowers the peak memory of a training step
         self.grads = []
-        grad_w = self._cache.T @ grad
-        if self.l2_penalty:
-            grad_w += 2.0 * self.l2_penalty * self.params[0]
+        x, weights = self._cache, self.params[0]
+        grad_w = np.empty(weights.shape, np.result_type(x, grad))
+        grad_x = np.empty(x.shape, np.result_type(grad, weights)) if input_grad else None
+
+        def block(cols, rows):
+            np.matmul(x.T, grad[:, cols], out=grad_w[:, cols])
+            if self.l2_penalty:
+                grad_w[:, cols] += 2.0 * self.l2_penalty * weights[:, cols]
+            if input_grad:  # by input column: a one-row block of the batch would run as gemv
+                np.matmul(grad, weights[rows].T, out=grad_x[:, rows])
+
+        _each_column_block(len(x), weights.shape, block)
         self.grads = [grad_w, grad.sum(axis=0)]
-        return grad @ self.params[0].T if input_grad else None
+        return grad_x
 
     def penalty(self):
         """l2_penalty * sum(W^2), summed in float64; 0.0 without reading W when unpenalized."""
         if not self.l2_penalty:
             return 0.0
         return self.l2_penalty * float(np.sum(np.square(self.params[0], dtype=np.float64)))
+
+
+def _each_column_block(rows, shape, work):
+    """``work(cols, ins)`` on each lane: its blocks of the units and of the D inputs of
+    a [D,units] weight, cut at multiples of 64, where the whole product's kernel tails
+    fall. One lane per 64 units; one below ``models.SHARD_IMAGES`` rows, where OpenBLAS's
+    small-matrix kernel would sum a block in another order."""
+    from .models import SHARD_IMAGES  # here: models imports this module
+    d, units = shape
+    lanes = blas.lane_count(units // 64) if rows >= SHARD_IMAGES else 1
+
+    def cut(size, j):
+        return size if j == lanes else 64 * (size // 64 * j // lanes)
+
+    blas.each_lane(lanes, lambda j: work(slice(cut(units, j), cut(units, j + 1)),
+                                         slice(cut(d, j), cut(d, j + 1))))
 
 
 class Dropout(Layer):

@@ -10,6 +10,7 @@ load rebuilds the exact network and restores bit-identical parameters.
 """
 
 import json
+import math
 import os
 import struct
 
@@ -52,16 +53,16 @@ class DimOverflowError(ModelFileError):
 class Network:
     """Ordered layer stack, built and shape-checked by its constructor.
 
-    Parameters are initialised from ``seed``. The final layer must be a
-    softmax over ``num_classes`` outputs; any adjacent shape incompatibility
-    raises at construction, not at first forward.
+    Parameters are initialised from ``seed``; with ``seed`` None they are read-only
+    stand-ins that allocate nothing. The final layer must be a softmax over
+    ``num_classes`` outputs; any adjacent shape incompatibility raises at construction.
     Images arrive as NCHW batches, the layout of the datasets and of
     ``preprocess_face``; the layers run on the channels-last view, so the
     shape trace of a (C,H,W) ``input_shape`` starts at (H,W,C).
     """
 
     def __init__(self, specs: list[LayerSpec], input_shape=INPUT_SHAPE, num_classes=NUM_CLASSES,
-                 seed: int = 0):
+                 seed: int | None = 0):
         self.specs = specs
         self.input_shape = tuple(input_shape)
         self.num_classes = num_classes
@@ -71,7 +72,7 @@ class Network:
                 self.layers.append(spec.materialize())
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"layer {i} ({spec.kind}): {exc}") from exc
-        rng = np.random.default_rng(derive_seed(seed, "init"))
+        rng = None if seed is None else np.random.default_rng(derive_seed(seed, "init"))
         shape = self.input_shape[1:] + self.input_shape[:1]
         self._trace = [shape]
         for i, layer in enumerate(self.layers):
@@ -129,10 +130,10 @@ class Network:
         OpenBLAS runs at one thread. The trunk, every layer before ``Flatten``, runs
         forward and backward as ``_each_shard``'s shards: shard 0 on ``layers``, each
         other shard on replica layers of its own, which share the parameters and
-        keep its caches until its backward. The head, the rest, runs once on the
-        whole batch on this thread. Every dropout mask is drawn from ``rng`` for the
-        whole batch first, in layer order. Each trunk gradient is the shards' sum,
-        added in shard order, so its bytes depend on the batch, not the host.
+        keep its caches until its backward. The head, the rest, runs once on the whole
+        batch, its Dense products split by column on lanes of their own. Dropout masks
+        are drawn from ``rng`` for the whole batch first, in layer order. Each trunk
+        gradient is the shards' sum in shard order, so its bytes depend on the batch alone.
 
         Uses the fused softmax/cross-entropy adjoint: the gradient at the
         logits is (probs - target) / batch, injected below the softmax. The
@@ -319,19 +320,24 @@ def save_model(net: Network, path: str):
             fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Read n bytes, checked against the bytes left first: ``read`` allocates n up front."""
+def _read_exact(fh, n: int, what: str, skip: bool = False) -> bytes:
+    """Read n bytes, or with ``skip`` seek past them, checked against the bytes left
+    first: ``read`` allocates n up front."""
     at = fh.tell()
     left = os.fstat(fh.fileno()).st_size - at
     if n > left:
         raise TruncatedFileError(
             f"file truncated: {what} at byte {at} needs {n} bytes, {left} left"
         )
+    if skip:
+        fh.seek(n, os.SEEK_CUR)
+        return b""
     return fh.read(n)
 
 
 def _network_from_arch(arch) -> Network:
-    """Rebuild the network an arch descriptor describes; any defect is a ModelFileError."""
+    """The network an arch descriptor describes, with stand-in parameters; any defect is a
+    ModelFileError."""
     if not (isinstance(arch, dict) and isinstance(arch.get("layers"), list)
             and isinstance(arch.get("input_shape"), list)
             and isinstance(arch.get("num_classes"), int)):
@@ -344,12 +350,26 @@ def _network_from_arch(arch) -> Network:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFileError(f"arch layer {i}: bad descriptor {desc!r} ({exc!r})") from exc
     try:
-        return Network(specs, tuple(arch["input_shape"]), arch["num_classes"])
+        return Network(specs, tuple(arch["input_shape"]), arch["num_classes"], seed=None)
     except (TypeError, ValueError) as exc:  # Network names a failing layer by its index
         raise ModelFileError(f"arch {exc}") from exc
 
 
+def _tensor_header(fh, i: int) -> tuple[tuple[int, ...], int]:
+    """Tensor ``i``'s dims and element count, read from its header and checked."""
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"tensor {i} rank"))
+    if rank == 0 or rank > 8:
+        raise DimOverflowError(f"tensor {i} has implausible rank {rank}")
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {i} dims"))
+    if any(d == 0 or d >= _MAX_DIM for d in dims):
+        raise DimOverflowError(f"tensor {i} has out-of-range dims {dims}")
+    if (n := math.prod(dims)) > _MAX_ELEMENTS:
+        raise DimOverflowError(f"tensor {i} element count overflows: dims {dims}")
+    return dims, n
+
+
 def load_model(path: str) -> Network:
+    """The network a model file holds; its tensor and float counts are checked first."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
@@ -366,28 +386,25 @@ def load_model(path: str) -> Network:
         net = _network_from_arch(arch)
 
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        params = net.parameters()
-        if count != len(params):
-            raise ModelFileError(f"file has {count} tensors, arch needs {len(params)}")
-        for i, target in enumerate(params):
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"tensor {i} rank"))
-            if rank == 0 or rank > 8:
-                raise DimOverflowError(f"tensor {i} has implausible rank {rank}")
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"tensor {i} dims"))
-            if any(d == 0 or d >= _MAX_DIM for d in dims):
-                raise DimOverflowError(f"tensor {i} has out-of-range dims {dims}")
-            n = 1
-            for d in dims:
-                n *= d
-                if n > _MAX_ELEMENTS:
-                    raise DimOverflowError(f"tensor {i} element count overflows: dims {dims}")
-            if tuple(dims) != target.shape:
+        start, floats = fh.tell(), 0
+        for i in range(count):  # a walk over the headers, past the payloads
+            floats += (n := _tensor_header(fh, i)[1])
+            _read_exact(fh, 4 * n, f"tensor {i} payload", skip=True)
+        params, need = net.parameters(), net.parameter_count()
+        if (count, floats) != (len(params), need):
+            raise ModelFileError(f"file has {count} tensors of {floats} floats, "
+                                 f"arch needs {len(params)} tensors of {need} floats")
+        if fh.read(1):
+            raise ModelFileError(f"trailing bytes after last tensor at byte {fh.tell() - 1}")
+        fh.seek(start)
+        for layer in net.layers:
+            layer.params = [np.empty(p.shape, np.float32) for p in layer.params]
+        for i, target in enumerate(net.parameters()):
+            dims, n = _tensor_header(fh, i)
+            if dims != target.shape:
                 raise ModelFileError(
                     f"tensor {i} shape {dims} does not match architecture {target.shape}"
                 )
             payload = _read_exact(fh, 4 * n, f"tensor {i} payload")
             target[...] = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        trailing = fh.read(1)
-        if trailing:
-            raise ModelFileError(f"trailing bytes after last tensor at byte {fh.tell() - 1}")
     return net

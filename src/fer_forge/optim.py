@@ -10,11 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
+
 KINDS = ("sgd", "rmsprop", "adam")
 RHO = 0.9
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-7
+BLOCK = 1 << 15  # elements a step updates at a time: 128 KB of float32 stays in cache
 
 
 @dataclass
@@ -53,46 +56,60 @@ class Optimizer:
     def step(self, grads: list[np.ndarray]):
         """One update of every parameter from its gradient, which shares its dtype.
 
-        RMSProp and Adam run the operations of the textbook expressions in
-        their order, each writing into one of two scratch arrays; those live
-        only for this call, at the size of the largest parameter.
+        Each lane of ``blas.each_lane`` takes one run of the parameters' blocks of
+        ``BLOCK`` elements. A block runs the operations of the textbook expressions in
+        their order, each writing into one of the lane's two scratch blocks.
         """
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
         self.t += 1
         lr = schedule_lr(self.cfg, self.t)
+        # views, but of a gradient that is a transpose (a tap conv's kernels), a copy
+        flat = [(w.reshape(-1, copy=False), g.reshape(-1),
+                 *(s[i].reshape(-1, copy=False) for s in (self.v, self.m) if s))
+                for i, (w, g) in enumerate(zip(self.params, grads))]
+        blocks = [[x[lo:lo + BLOCK] for x in arrays] for arrays in flat
+                  for lo in range(0, arrays[0].size, BLOCK)]
+        nbytes = max((block[0].nbytes for block in blocks), default=0)
+        blas.single_thread()
+        lanes = blas.lane_count(len(blocks))
+
+        def run(j):
+            scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
+            for w, *rest in blocks[len(blocks) * j // lanes: len(blocks) * (j + 1) // lanes]:
+                a, b = (buf[: w.nbytes].view(w.dtype) for buf in scratch)
+                self._update(lr, a, b, w, *rest)
+
+        blas.each_lane(lanes, run)
+
+    def _update(self, lr, a, b, w, g, v=None, m=None):
+        """One block's update; ``a`` and ``b`` are scratch of the block's size and dtype."""
         if self.cfg.kind == "sgd":
-            for w, g in zip(self.params, grads):
-                w -= lr * g
-            return
-        nbytes = max((w.nbytes for w in self.params), default=0)
-        scratch = (np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8))
-        for i, (w, g) in enumerate(zip(self.params, grads)):
-            a, b = (s[: w.nbytes].view(w.dtype).reshape(w.shape) for s in scratch)
-            v = self.v[i]
-            if self.cfg.kind == "rmsprop":
-                # v = RHO * v + (1 - RHO) * g^2; w -= lr * g / (sqrt(v) + EPSILON)
-                v *= RHO
-                np.square(g, out=a)
-                a *= 1.0 - RHO
-                v += a
-                np.multiply(g, lr, out=a)
-                np.sqrt(v, out=b)
-            else:
-                # m = BETA1 * m + (1 - BETA1) * g; v = BETA2 * v + (1 - BETA2) * g^2;
-                # w -= lr * m_hat / (sqrt(v_hat) + EPSILON), the hats bias-corrected
-                m = self.m[i]
-                m *= BETA1
-                np.multiply(g, 1.0 - BETA1, out=a)
-                m += a
-                v *= BETA2
-                np.square(g, out=a)
-                a *= 1.0 - BETA2
-                v += a
-                np.divide(m, 1.0 - BETA1**self.t, out=a)
-                a *= lr
-                np.divide(v, 1.0 - BETA2**self.t, out=b)
-                np.sqrt(b, out=b)
-            b += EPSILON
-            a /= b
+            np.multiply(g, lr, out=a)
             w -= a
+            return
+        if self.cfg.kind == "rmsprop":
+            # v = RHO * v + (1 - RHO) * g^2; w -= lr * g / (sqrt(v) + EPSILON)
+            v *= RHO
+            np.square(g, out=a)
+            a *= 1.0 - RHO
+            v += a
+            np.multiply(g, lr, out=a)
+            np.sqrt(v, out=b)
+        else:
+            # m = BETA1 * m + (1 - BETA1) * g; v = BETA2 * v + (1 - BETA2) * g^2;
+            # w -= lr * m_hat / (sqrt(v_hat) + EPSILON), the hats bias-corrected
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
+            m += a
+            v *= BETA2
+            np.square(g, out=a)
+            a *= 1.0 - BETA2
+            v += a
+            np.divide(m, 1.0 - BETA1**self.t, out=a)
+            a *= lr
+            np.divide(v, 1.0 - BETA2**self.t, out=b)
+            np.sqrt(b, out=b)
+        b += EPSILON
+        a /= b
+        w -= a

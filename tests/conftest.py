@@ -2,6 +2,7 @@
 and the small helpers only tests use."""
 
 import json
+import os
 import struct
 import threading
 
@@ -115,11 +116,31 @@ def dark_top_cascade_doc(window=24):
 
 
 @pytest.fixture(autouse=True)
-def no_lane_thread_left():
-    """Fails a test that leaves a lane thread alive: every sharded call joins its own."""
+def no_lane_thread_left(monkeypatch):
+    """Fails a test that leaves a lane thread alive, as every call that starts lanes joins
+    its own, or that enters ``blas.each_lane`` from inside a lane, on any thread: a
+    training Dense and the optimizer split across the lanes only where no lane is
+    alive, so that each lane keeps one core."""
+    nested, in_lane, each_lane = [], threading.local(), blas.each_lane
+
+    def guarded(lanes, work):
+        if getattr(in_lane, "active", False):
+            nested.append(threading.current_thread().name)
+
+        def lane(j):
+            outer, in_lane.active = getattr(in_lane, "active", False), True
+            try:
+                return work(j)
+            finally:
+                in_lane.active = outer
+
+        return each_lane(lanes, lane)
+
+    monkeypatch.setattr(blas, "each_lane", guarded)
     yield
     left = [t.name for t in threading.enumerate() if t.name.startswith("fer_forge-lane-")]
     assert not left, f"lane threads still alive after the test: {left}"
+    assert not nested, f"each_lane entered from inside a lane on: {nested}"
 
 
 @pytest.fixture
@@ -131,6 +152,16 @@ def pin_blas_threads():
     yield blas.set_blas_threads
     if before is not None:
         blas.set_blas_threads(before)
+
+
+def use_lanes(pin, monkeypatch, count, threads=None):
+    """Run a batch's shards, the optimizer's blocks and a training Dense's column blocks
+    on up to ``count`` lanes, whatever the cores here, with OpenBLAS at ``threads``
+    threads (default ``count``); ``pin`` is the ``pin_blas_threads`` fixture."""
+    if blas.blas_threads() is None:
+        pytest.skip("no OpenBLAS thread count to read and set")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    pin(threads or count)
 
 
 @pytest.fixture
@@ -146,6 +177,11 @@ def write_arch_only(path, arch) -> str:
         fh.write(struct.pack("<I", 0))
     return str(path)
 
+
+# 46,240,007 floats: a .femo of it with no tensors is 204 bytes
+HUGE_ARCH = {"input_shape": [1, 48, 48], "num_classes": 7, "layers": [
+    {"kind": "flatten"}, {"kind": "dense", "hyper": {"units": 20000}},
+    {"kind": "dense", "hyper": {"units": 7}}, {"kind": "softmax"}]}
 
 MALFORMED_ARCHS = {
     "layer-without-kind": (

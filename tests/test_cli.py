@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    HUGE_ARCH,
     MALFORMED_ARCHS,
     accept_all_cascade_doc,
     make_fer_csv,
@@ -381,6 +382,12 @@ class TestPredictCommand:
         bad = write_arch_only(tmp_path / "strided.femo", arch)
         assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
         assert re.search(r"arch layer 0 \(conv2d\): .*'stride'", capsys.readouterr().err)
+
+    def test_file_short_of_its_arch_exits_2(self, tmp_path, face_pgm, capsys):
+        bad = write_arch_only(tmp_path / "short.femo", HUGE_ARCH)
+        assert run("predict", "--model-file", bad, "--image", face_pgm) == 2
+        assert "file has 0 tensors of 0 floats, arch needs 4 tensors of 46240007 floats" in (
+            capsys.readouterr().err)
 
 
 class TestDetectCommand:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import use_lanes
 from fer_forge import layers as L
 from fer_forge.gradcheck import check_layer_detailed, fd_gradient, relative_error
 from fer_forge.layers import LayerSpec, cross_entropy_loss
@@ -96,6 +97,29 @@ class TestDense:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             forward(dense_with(np.zeros((5, 2)), np.zeros(2)), np.zeros((1, 4)))
+
+    # the hidden layers of ffnn, simple_cnn and proposed_cnn, as [inputs, units]
+    @pytest.mark.parametrize("d, units", [(2304, 1024), (1024, 512), (12544, 512), (30976, 128)])
+    def test_training_products_split_by_column_keep_their_bytes(self, d, units,
+                                                                 pin_blas_threads, monkeypatch):
+        # forward, weight gradient (with its L2 term) and input gradient on 1 to 8 lanes
+        # equal the whole products' bytes, at every row count the lanes might split
+        layer = L.Dense(units, l2_penalty=0.001)
+        layer.build((d,), np.random.default_rng(1))
+        w, b = layer.params
+        rng = np.random.default_rng(2)
+        for n in [*range(1, 41), 64, 128]:
+            x = rng.standard_normal((n, d)).astype(np.float32)
+            grad = rng.standard_normal((n, units)).astype(np.float32)
+            for lanes in (1, 2, 3, 4, 8):
+                use_lanes(pin_blas_threads, monkeypatch, lanes, threads=1)
+                got = (layer.forward(x, True), layer.backward(grad), layer.grads[0])
+                if lanes == 1:
+                    ref = got
+                    assert np.array_equal(ref[0], x @ w + b)
+                    assert np.array_equal(ref[1], grad @ w.T)
+                    assert np.array_equal(ref[2], x.T @ grad + 2.0 * 0.001 * w)
+                assert all(np.array_equal(a, r) for a, r in zip(got, ref)), (n, lanes)
 
 
 class TestDropout:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_ARCHS, synthetic_dataset, write_arch_only
+from conftest import HUGE_ARCH, MALFORMED_ARCHS, synthetic_dataset, use_lanes, write_arch_only
 from fer_forge import blas
 from fer_forge import layers as L
 from fer_forge import models as M
@@ -231,15 +231,6 @@ class TestLossAndGrad:
         assert len(net.gradients()) == 4
 
 
-def use_lanes(pin, monkeypatch, count, threads=None):
-    """Run a batch's shards, in training and in a forward, on up to ``count`` lanes,
-    whatever the cores here, with OpenBLAS at ``threads`` threads (default ``count``)."""
-    if blas.blas_threads() is None:
-        pytest.skip("no OpenBLAS thread count to read and set")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    pin(threads or count)
-
-
 class TestShardedStep:
     """A training step runs the layers before Flatten as 16-image shards on the lanes."""
 
@@ -292,15 +283,17 @@ class TestShardedStep:
         assert blas.blas_threads() == 1
         self.assert_same_step(got, ref)
 
-    @pytest.mark.parametrize("name, n", [("ffnn", 1), ("ffnn", 40),
-                                         ("simple_cnn", 1), ("simple_cnn", 5), ("simple_cnn", 16),
-                                         ("simple_cnn", 17), ("simple_cnn", 40),
+    @pytest.mark.parametrize("name, n", [("ffnn", 1), ("ffnn", 16), ("ffnn", 17), ("ffnn", 40),
+                                         ("ffnn", 128), ("simple_cnn", 1), ("simple_cnn", 5),
+                                         ("simple_cnn", 16), ("simple_cnn", 17),
+                                         ("simple_cnn", 40), ("simple_cnn", 128),
                                          ("proposed_cnn", 1), ("proposed_cnn", 17)])
     def test_every_host_gives_the_same_bytes(self, name, n, pin_blas_threads, monkeypatch):
-        # the shards and their summation order depend on n alone, and a step or a forward
-        # runs at one BLAS thread whatever the count it finds, so neither the cores nor
-        # the BLAS count move a bit (OpenBLAS at three threads sums a one-image dense
-        # product in another order than at one or two)
+        # the shards and their summation order depend on n alone, a dense product split by
+        # column sums as the whole product does, and a step or a forward runs at one BLAS
+        # thread whatever the count it finds, so neither the cores nor the BLAS count
+        # move a bit (OpenBLAS at three threads sums a one-image dense product in another
+        # order than at one or two)
         use_lanes(pin_blas_threads, monkeypatch, 1, threads=1)
         x, _ = self.batch(n)
         ref = self.step(name, n)
@@ -395,18 +388,30 @@ class TestShardedStep:
         assert blas.blas_threads() == 1
 
     def test_a_network_without_a_trunk_looks_up_no_blas(self, pin_blas_threads, monkeypatch):
-        # no trunk, so no shards and no lane; the head still runs at one BLAS thread
-        def fail(*args):
-            raise AssertionError("a lane started")
-
+        # no trunk, so no shards; below 16 images the dense products do not split either
+        # and no lane starts; at 40 the hidden layers split by column, on lanes that
+        # end with the step, and OpenBLAS is left at one thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pin_blas_threads(2)
-        monkeypatch.setattr(blas, "each_lane", fail)
+        ran_on, each_lane = {8: set(), 40: set()}, blas.each_lane
         threads = set(threading.enumerate())
-        _, loss, probs = self.step("ffnn", 40)
-        assert np.isfinite(loss) and probs.shape == (40, 7)
-        assert set(threading.enumerate()) <= threads
-        assert blas.blas_threads() in (1, None)
+        for n, seen in ran_on.items():
+            def spy(count, work, seen=seen):
+                def lane(j):
+                    seen.add(threading.current_thread())
+                    return work(j)
+                return each_lane(count, lane)
+
+            monkeypatch.setattr(blas, "each_lane", spy)
+            _, loss, probs = self.step("ffnn", n)
+            assert np.isfinite(loss) and probs.shape == (n, 7)
+            assert set(threading.enumerate()) <= threads
+            assert blas.blas_threads() in (1, None)
+        here = threading.current_thread()
+        assert ran_on[8] == {here}
+        lanes = {here.name} if blas.blas_threads() is None else {here.name, "fer_forge-lane-1"}
+        assert {t.name for t in ran_on[40]} == lanes
+        assert not any(t.is_alive() for t in ran_on[40] - threads)
 
 
 class TestShardedForward:
@@ -600,6 +605,19 @@ class TestBlas:
             pytest.fail("the forked child did not finish")
 
 
+# peak RSS from VmHWM, which exec resets; ru_maxrss would keep the forking parent's
+LOAD_AND_REPORT_RSS = """
+import sys
+from fer_forge.models import ModelFileError, load_model
+try:
+    load_model(sys.argv[1])
+except ModelFileError as exc:
+    print(f"{type(exc).__name__}: {exc}")
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
 class TestPersistence:
     def _save(self, tmp_path, net, name="model.femo"):
         path = str(tmp_path / name)
@@ -677,6 +695,21 @@ class TestPersistence:
             fh.write(b"\x00")
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    def test_a_file_short_of_its_arch_fails_before_it_allocates(self, tmp_path):
+        # 204 bytes, 0 tensors, an arch of 46,240,007 floats: 185 MB of weights, and
+        # 370 MB more for their float64 draw, had it been built first
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status to read the peak RSS from")
+        path = write_arch_only(tmp_path / "huge.femo", HUGE_ARCH)
+        assert os.path.getsize(path) == 204
+        src = os.path.dirname(os.path.dirname(M.__file__))
+        out = subprocess.run([sys.executable, "-c", LOAD_AND_REPORT_RSS, path], text=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                             timeout=120, check=True).stdout.splitlines()
+        assert out[0] == ("ModelFileError: file has 0 tensors of 0 floats, "
+                          "arch needs 4 tensors of 46240007 floats")
+        assert int(out[1]) < 100 * 1024  # peak RSS in kB
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_ARCHS))
     def test_malformed_arch_descriptor_names_layer(self, tmp_path, name):

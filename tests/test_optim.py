@@ -1,9 +1,14 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fer_forge.optim import KINDS, Optimizer, OptimizerConfig, schedule_lr
+from conftest import use_lanes
+from fer_forge import blas
+from fer_forge.optim import BLOCK, KINDS, Optimizer, OptimizerConfig, schedule_lr
 from optim_oracle import OracleConfig, OracleState, oracle_step
 
 
@@ -142,23 +147,68 @@ class TestSharedProperties:
 class TestMatchesOracle:
     """``Optimizer`` against the per-parameter step functions it replaced."""
 
-    SHAPES = [(3, 3, 2, 4), (4,), (17, 5), (1,)]
+    # beside small shapes, sizes on each side of the block edge and one of several blocks
+    SHAPES = [(3, 3, 2, 4), (4,), (17, 5), (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,),
+              (3 * BLOCK + 5,)]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("decay", [0.0, 0.05])
-    def test_five_steps_bit_identical(self, kind, decay):
+    def test_five_steps_bit_identical(self, kind, decay, pin_blas_threads, monkeypatch):
+        # on 1 to 3 lanes, whose blocks interleave in any order, and in float32 and float64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(lanes)))
+                pin_blas_threads(lanes)
+                for dtype in (np.float32, np.float64):
+                    self.check_five_steps(kind, decay, dtype)
+                assert blas.blas_threads() in (1, None)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def check_five_steps(self, kind, decay, dtype):
         rng = np.random.default_rng(3)
-        params = [rng.standard_normal(s).astype(np.float32) for s in self.SHAPES]
+        params = [rng.standard_normal(s).astype(dtype) for s in self.SHAPES]
         twins = [p.copy() for p in params]
         opt = Optimizer(OptimizerConfig(kind, 0.01, decay=decay), params)
         cfg, state = OracleConfig(kind, 0.01, decay=decay), OracleState.for_params(twins)
         for _ in range(5):
-            grads = [rng.standard_normal(s).astype(np.float32) for s in self.SHAPES]
+            grads = [rng.standard_normal(s).astype(dtype) for s in self.SHAPES]
             opt.step(grads)
             oracle_step(cfg, state, twins, grads)
             for p, q in zip(params, twins):
-                assert p.dtype == np.float32
+                assert p.dtype == dtype
                 assert np.array_equal(p, q)
+
+class TestBlocks:
+    """A step cuts every parameter into blocks of ``BLOCK`` elements and runs them on the lanes."""
+
+    def test_a_transposed_gradient_is_read_in_its_parameter_order(self):
+        # a tap conv's kernel gradient is a transposed view
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((3, 5, 7)).astype(np.float32)
+        grad = np.ascontiguousarray(rng.standard_normal((7, 5, 3)).astype(np.float32)).T
+        twin = w.copy()
+        one_step("adam", 0.01, w, grad)
+        oracle_step(OracleConfig("adam", 0.01), OracleState.for_params([twin]), [twin], [grad])
+        assert np.array_equal(w, twin)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_block_starts_no_thread(self, kind, pin_blas_threads, monkeypatch):
+        use_lanes(pin_blas_threads, monkeypatch, 3)
+        lanes, each_lane = [], blas.each_lane
+
+        def spy(count, work):
+            lanes.append(count)
+            return each_lane(count, work)
+
+        monkeypatch.setattr(blas, "each_lane", spy)
+        threads = set(threading.enumerate())
+        for sizes in ([BLOCK], [3, 4]):  # one block; two, as a block never spans two
+            opt = Optimizer(OptimizerConfig(kind, 0.01), [np.zeros(k) for k in sizes])
+            opt.step([np.ones(k) for k in sizes])
+        assert lanes == [1, 2] and set(threading.enumerate()) <= threads
 
 
 class TestConfigValidation:
